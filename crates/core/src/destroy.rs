@@ -41,38 +41,62 @@ pub struct StepStats {
 /// `v` must be null or a counted reference owned by the caller; the
 /// caller gives that count up.
 pub unsafe fn destroy<T: Links<W>, W: DcasWord>(v: *mut LfrcBox<T, W>) {
-    let mut stack: Vec<*mut LfrcBox<T, W>> = Vec::new();
-    stack.push(v);
-    while let Some(p) = stack.pop() {
-        if p.is_null() {
-            continue; // line 13: null is a no-op
-        }
-        // Safety: each pointer on the stack carries one count we own.
-        let obj = unsafe { &*p };
-        obj.assert_alive();
-        // The decrement that may transfer ownership of the whole object —
-        // a preemption here races against concurrent LFRCLoads of fields
-        // still pointing at `p`.
-        lfrc_dcas::instrument::yield_point(lfrc_dcas::InstrSite::DestroyDecrement);
-        lfrc_obs::counters::incr(lfrc_obs::Counter::RcDecrement);
-        let prev = obj.rc.fetch_add(-1);
-        lfrc_obs::recorder::record(lfrc_obs::EventKind::Decrement, p as usize, prev);
-        if prev == 1 {
-            // Line 14: we destroyed the last reference; cascade into the
-            // object's links (explicit stack instead of recursion).
-            obj.value.for_each_link(&mut |field| {
-                let child = word_to_ptr::<T, W>(field.raw().load());
-                // Exclusive access: clear the field so the object's own
-                // Drop (running later, after the grace period) cannot
-                // observe dangling links.
-                field.raw().store(0);
-                stack.push(child);
-            });
-            // Line 15: free the object.
-            // Safety: count is zero and links are harvested.
-            unsafe { free_object(p) };
-        }
+    // Safety: the caller's count is given up here.
+    if !unsafe { decrement(v) } {
+        return; // the common case: not the last reference, no stack
     }
+    // Line 14: we destroyed the last reference; cascade into the
+    // object's links (explicit stack instead of recursion). The stack
+    // holds harvested children whose decrement is still owed.
+    let mut stack: Vec<*mut LfrcBox<T, W>> = Vec::new();
+    let mut p = v;
+    loop {
+        // Safety: `p`'s count just reached zero — exclusive access.
+        let obj = unsafe { &*p };
+        obj.value.for_each_link(&mut |field| {
+            let child = word_to_ptr::<T, W>(field.raw().load());
+            // Exclusive access: clear the field so the object's own
+            // Drop (running later, after the grace period) cannot
+            // observe dangling links.
+            field.raw().store(0);
+            stack.push(child);
+        });
+        // Line 15: free the object.
+        // Safety: count is zero and links are harvested.
+        unsafe { free_object(p) };
+        p = loop {
+            let Some(child) = stack.pop() else { return };
+            // Safety: each harvested link carried one count, now ours.
+            if unsafe { decrement(child) } {
+                break child;
+            }
+        };
+    }
+}
+
+/// Releases one count unit of `p`; `true` iff it was the last. Null is a
+/// no-op (line 13: "if v is null, then the function should simply
+/// return").
+///
+/// # Safety
+///
+/// `p` must be null or a counted reference owned by the caller, who
+/// gives that count up.
+unsafe fn decrement<T: Links<W>, W: DcasWord>(p: *mut LfrcBox<T, W>) -> bool {
+    if p.is_null() {
+        return false;
+    }
+    // Safety: the caller owns one count, so the object is alive.
+    let obj = unsafe { &*p };
+    obj.assert_alive();
+    // The decrement that may transfer ownership of the whole object — a
+    // preemption here races against concurrent LFRCLoads of fields still
+    // pointing at `p`.
+    lfrc_dcas::instrument::yield_point(lfrc_dcas::InstrSite::DestroyDecrement);
+    lfrc_obs::counters::incr(lfrc_obs::Counter::RcDecrement);
+    let prev = obj.rc.fetch_add(-1);
+    lfrc_obs::recorder::record(lfrc_obs::EventKind::Decrement, p as usize, prev);
+    prev == 1
 }
 
 /// A lock-free backlog of zero-count objects awaiting incremental

@@ -425,9 +425,18 @@ pub unsafe fn dcas<T: Links<W>, W: DcasWord>(
 ///
 /// # Safety
 ///
-/// * `old`/`new` must be null or counted references owned by the caller.
-/// * `word` must be a cell inside an object the caller holds a counted
-///   reference to (or a structure root), so it cannot be freed mid-call.
+/// * `new` must be null or a counted reference owned by the caller.
+///   `old` must be null, a counted reference owned by the caller, or a
+///   pin-scoped borrowed pointer: it is used for identity only, and on
+///   success the reference destroyed is the location's own (as for
+///   [`cas`]).
+/// * `a` and `word` must be cells inside an object the caller holds a
+///   counted reference to (or a structure root), so it cannot be freed
+///   mid-call — **or** inside a pin-scoped borrowed object (memory kept
+///   mapped and unrecycled by the pin), provided `word` can never equal
+///   `word_old` once that object's count has reached zero. The skip
+///   list's swings rely on this: `word` is the node's mark, which is set
+///   before the count can reach zero and never cleared.
 #[allow(clippy::too_many_arguments)]
 pub unsafe fn dcas_ptr_word<T: Links<W>, W: DcasWord>(
     a: &PtrField<T, W>,
@@ -469,8 +478,7 @@ pub unsafe fn dcas_ptr_word<T: Links<W>, W: DcasWord>(
 ///
 /// # Safety
 ///
-/// As for [`dcas_ptr_word`], with the expectation side also accepting
-/// pin-scoped references (identity-only).
+/// As for [`dcas_ptr_word`].
 #[allow(clippy::too_many_arguments)]
 pub unsafe fn dcas_ptr_word_retire<T: Links<W>, W: DcasWord>(
     a: &PtrField<T, W>,

@@ -12,9 +12,12 @@
 //! reachable at level 0 and unmarked.
 //!
 //! * `insert` — choose a geometric tower height, link level 0 (the
-//!   linearization point), then index the upper levels best-effort;
+//!   linearization point), then index the upper levels best-effort with
+//!   the same traversal's window;
 //! * `remove` — CAS the mark (linearization point), then best-effort
-//!   unlink at every level (finds help);
+//!   unlink at every level with the preds the traversal already holds
+//!   (finds help with whatever it misses);
+//! * `scan` — the same descent, then a level-0 walk;
 //! * `contains` — top-down descent whose load protocol follows the
 //!   instance [`Strategy`]: the §5.9 deferred fast path (plain loads
 //!   under a pin, rc-validated) for `DeferredDec`, the §5.13
@@ -22,6 +25,16 @@
 //!   validation) for `DeferredInc`, and
 //!   [`contains_counted`](LfrcSkipList::contains_counted) — one
 //!   `LFRCLoad` DCAS per hop — for `Dcas`.
+//!
+//! `find`, `insert`, `remove` and `scan` are written once, over a
+//! `Traversal` that says how a hop holds the node it reaches. Under
+//! `Strategy::Dcas` every hop is a counted `LFRCLoad` — the executable
+//! spec. Under both deferred strategies the whole operation runs inside
+//! one [`defer::pinned`] scope on plain-load [`Borrowed`] hops, and a
+//! reference is counted (promoted) only where a swing installs it: the
+//! successor a help-unlink swings in, and each successor stored into a
+//! new node's tower. [`swing`](LfrcSkipList::swing) documents why a DCAS
+//! on a borrowed `pred` is sound.
 //!
 //! Under `DeferredInc` every `swing` routes its displaced reference
 //! through the grace-period retire queue
@@ -33,14 +46,20 @@
 //! larger keys), so step 3 of the methodology holds untouched.
 
 use std::fmt;
+use std::ops::Deref;
 
-use lfrc_core::defer::{self, Borrowed};
-use lfrc_core::{DcasWord, Heap, Links, Local, PtrField, SharedField, Strategy};
+use lfrc_core::defer::{self, Borrowed, Pin};
+use lfrc_core::{DcasWord, Heap, LfrcBox, Links, Local, PtrField, SharedField, Strategy};
 
 use crate::set::MAX_KEY;
 
 /// Maximum tower height (supports ~2³² elements at p = 1/2).
 pub const MAX_HEIGHT: usize = 16;
+
+/// Tower levels stored inside the node itself. At p = 1/2, 75% of towers
+/// are at most this tall, so most nodes take one allocation (one pool
+/// slot) instead of two.
+const INLINE_LEVELS: usize = 2;
 
 const HEAD_KEY: u64 = 0;
 const TAIL_KEY: u64 = u64::MAX;
@@ -51,18 +70,23 @@ fn encode_key(k: u64) -> u64 {
     k + 1
 }
 
+type Link<W> = PtrField<SkipNode<W>, W>;
+
 /// A skip-list node: encoded key, one mark word, and a tower of links.
 pub struct SkipNode<W: DcasWord> {
     key: u64,
     /// 0 = live, 1 = logically deleted (governs the whole tower).
     marked: W,
-    /// `next[0]` is the full list; higher levels are the index.
-    next: Vec<PtrField<SkipNode<W>, W>>,
+    /// Levels 0 and 1: `low[0]` is the full list; a height-1 node leaves
+    /// `low[1]` null forever.
+    low: [Link<W>; INLINE_LEVELS],
+    /// Levels `2..height`; empty (no allocation) for towers of height ≤ 2.
+    high: Box<[Link<W>]>,
 }
 
 impl<W: DcasWord> Links<W> for SkipNode<W> {
     fn for_each_link(&self, f: &mut dyn FnMut(&PtrField<Self, W>)) {
-        for field in &self.next {
+        for field in self.low.iter().chain(self.high.iter()) {
             f(field);
         }
     }
@@ -72,7 +96,7 @@ impl<W: DcasWord> fmt::Debug for SkipNode<W> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SkipNode")
             .field("key", &self.key)
-            .field("height", &self.next.len())
+            .field("levels", &(INLINE_LEVELS + self.high.len()))
             .field("marked", &(self.marked.load() == 1))
             .finish()
     }
@@ -83,7 +107,18 @@ impl<W: DcasWord> SkipNode<W> {
         SkipNode {
             key,
             marked: W::new(0),
-            next: (0..height).map(|_| PtrField::null()).collect(),
+            low: [PtrField::null(), PtrField::null()],
+            high: (INLINE_LEVELS..height).map(|_| PtrField::null()).collect(),
+        }
+    }
+
+    /// The link at level `lvl` (`lvl` below the node's height).
+    #[inline]
+    fn next(&self, lvl: usize) -> &Link<W> {
+        if lvl < INLINE_LEVELS {
+            &self.low[lvl]
+        } else {
+            &self.high[lvl - INLINE_LEVELS]
         }
     }
 }
@@ -128,6 +163,83 @@ impl<W: DcasWord> Default for LfrcSkipList<W> {
 }
 
 type NodeRef<W> = Local<SkipNode<W>, W>;
+type NodePtr<W> = *mut LfrcBox<SkipNode<W>, W>;
+
+/// How a traversal holds the nodes it visits — the one axis along which
+/// the strategies' write paths differ. `find`, `insert`, `remove` and
+/// `scan` are written once over it.
+trait Traversal<W: DcasWord>: Copy {
+    /// What a hop holds: a counted [`Local`] or a pin-scoped [`Borrowed`].
+    type Node: Clone + Deref<Target = SkipNode<W>>;
+
+    /// Reads `field`; `None` for null.
+    fn load(self, field: &Link<W>) -> Option<Self::Node>;
+
+    /// Identity only (DCAS expectations, pointer comparison).
+    fn raw(node: &Self::Node) -> NodePtr<W>;
+
+    /// A counted reference to `node` — what a swing or a tower store
+    /// installs — or `None` if the node's count already reached zero.
+    fn count(node: &Self::Node) -> Option<NodeRef<W>>;
+}
+
+/// `Strategy::Dcas`: every hop is an `LFRCLoad` DCAS — the executable
+/// spec the deferred traversal is diffed against.
+#[derive(Clone, Copy)]
+struct Counted;
+
+impl<W: DcasWord> Traversal<W> for Counted {
+    type Node = NodeRef<W>;
+
+    fn load(self, field: &Link<W>) -> Option<NodeRef<W>> {
+        field.load()
+    }
+
+    fn raw(node: &NodeRef<W>) -> NodePtr<W> {
+        Local::as_raw(node)
+    }
+
+    fn count(node: &NodeRef<W>) -> Option<NodeRef<W>> {
+        Some(node.clone())
+    }
+}
+
+/// Both deferred strategies: every hop is a plain load under one epoch
+/// pin (DESIGN.md §5.9); a count is taken only by
+/// [`Borrowed::promote`], which refuses a node whose count hit zero.
+impl<'p, W: DcasWord> Traversal<W> for &'p Pin {
+    type Node = Borrowed<'p, SkipNode<W>, W>;
+
+    fn load(self, field: &Link<W>) -> Option<Self::Node> {
+        field.load_deferred(self)
+    }
+
+    fn raw(node: &Self::Node) -> NodePtr<W> {
+        Borrowed::as_raw(node)
+    }
+
+    fn count(node: &Self::Node) -> Option<NodeRef<W>> {
+        Borrowed::promote(node)
+    }
+}
+
+/// `find`'s result: for each level `l`,
+/// `preds[l].key < ekey <= succs[l].key`, and `preds[l].next[l]` held
+/// `succs[l]` when that level was read. Every slot is filled.
+struct Window<N> {
+    preds: [Option<N>; MAX_HEIGHT],
+    succs: [Option<N>; MAX_HEIGHT],
+}
+
+impl<N> Window<N> {
+    fn pred(&self, lvl: usize) -> &N {
+        self.preds[lvl].as_ref().expect("find fills every level")
+    }
+
+    fn succ(&self, lvl: usize) -> &N {
+        self.succs[lvl].as_ref().expect("find fills every level")
+    }
+}
 
 impl<W: DcasWord> LfrcSkipList<W> {
     /// Creates an empty skip list (full-height head and tail sentinels)
@@ -142,7 +254,7 @@ impl<W: DcasWord> LfrcSkipList<W> {
         let tail = heap.alloc(SkipNode::new(TAIL_KEY, MAX_HEIGHT));
         let head_node = heap.alloc(SkipNode::new(HEAD_KEY, MAX_HEIGHT));
         for lvl in 0..MAX_HEIGHT {
-            head_node.next[lvl].store(Some(&tail));
+            head_node.next(lvl).store(Some(&tail));
         }
         drop(tail);
         let list = LfrcSkipList {
@@ -178,70 +290,72 @@ impl<W: DcasWord> LfrcSkipList<W> {
     /// Swings `pred.next[lvl]` from `curr` to `new` iff `pred` is
     /// unmarked — the DCAS that replaces per-level pointer marks.
     ///
+    /// `new` must be null or held counted by the caller; `curr` is
+    /// identity only (on success the reference released is the field's
+    /// own). `pred` need not be counted: the deferred traversals pass a
+    /// pin-scoped borrow, which may be a node freed after it was read.
+    /// Swinging on it is still sound, for three reasons:
+    ///
+    /// 1. A published node reaches rc 0 only after it is marked. While
+    ///    unmarked it is linked at level 0, and that link's unit can only
+    ///    be displaced by a help-unlink swing, which requires the mark.
+    /// 2. The DCAS validates `pred.marked == 0` atomically with
+    ///    `pred.next[lvl] == curr`. So a swing that succeeds does so at an
+    ///    instant when `pred` is alive and its field owns the unit on
+    ///    `curr` that the swing transfers; on a dead `pred` it fails.
+    /// 3. The pin keeps `pred`'s memory mapped and its slot from being
+    ///    recycled, so a dead `pred`'s mark word still reads 1 and the
+    ///    address `curr` cannot come back as a different node.
+    ///
     /// Under [`Strategy::DeferredInc`] the displaced reference is
     /// grace-retired instead of eagerly released: a pinned reader's
     /// pending `+1` on `curr` may be covered by exactly the field unit
     /// this swing displaces, so the unit must outlive every pin that
     /// could have observed it (§5.13 cover invariant).
-    fn swing(
-        &self,
-        pred: &NodeRef<W>,
-        lvl: usize,
-        curr: Option<&NodeRef<W>>,
-        new: Option<&NodeRef<W>>,
-    ) -> bool {
-        // Safety: `pred` is a counted reference (its cells are alive);
-        // `curr`/`new` are caller-held counted references or null.
+    fn swing(&self, pred: &SkipNode<W>, lvl: usize, curr: NodePtr<W>, new: NodePtr<W>) -> bool {
+        // Safety: `pred`'s memory is kept mapped by a count or the pin
+        // (argument above); `new` is a caller-held counted reference and
+        // `curr` is identity-only, which both variants permit.
         unsafe {
             if self.strategy == Strategy::DeferredInc {
-                lfrc_core::ops::dcas_ptr_word_retire(
-                    &pred.next[lvl],
-                    &pred.marked,
-                    Local::option_as_raw(curr),
-                    0,
-                    Local::option_as_raw(new),
-                    0,
-                )
+                lfrc_core::ops::dcas_ptr_word_retire(pred.next(lvl), &pred.marked, curr, 0, new, 0)
             } else {
-                lfrc_core::ops::dcas_ptr_word(
-                    &pred.next[lvl],
-                    &pred.marked,
-                    Local::option_as_raw(curr),
-                    0,
-                    Local::option_as_raw(new),
-                    0,
-                )
+                lfrc_core::ops::dcas_ptr_word(pred.next(lvl), &pred.marked, curr, 0, new, 0)
             }
         }
     }
 
-    /// Top-down search: fills `preds`/`succs` per level with
-    /// `preds[l].key < ekey <= succs[l].key`, helping unlink marked nodes
-    /// along the way. Returns `None` and retries internally on conflicts.
-    #[allow(clippy::type_complexity)]
-    fn find(&self, ekey: u64) -> (Vec<NodeRef<W>>, Vec<NodeRef<W>>) {
+    /// Top-down search: fills a [`Window`] for `ekey`, helping unlink
+    /// marked nodes along the way, and restarts internally on conflicts.
+    ///
+    /// A null link can only be a harvested field on a node freed under a
+    /// borrowed traversal (towers are complete before publication, and
+    /// the tail's links are never read), so it restarts. A node that
+    /// reads unmarked was alive at that instant (reason 1 on
+    /// [`swing`](Self::swing)), which is all the callers' key checks
+    /// need; every write they then make is a validating DCAS or CAS.
+    fn find<T: Traversal<W>>(&self, t: T, ekey: u64) -> Window<T::Node> {
         'retry: loop {
-            let head = self.head.load().expect("head sentinel");
-            let mut preds: Vec<NodeRef<W>> = Vec::with_capacity(MAX_HEIGHT);
-            let mut succs: Vec<NodeRef<W>> = Vec::with_capacity(MAX_HEIGHT);
-            let mut pred = head;
+            let mut w = Window {
+                preds: std::array::from_fn(|_| None),
+                succs: std::array::from_fn(|_| None),
+            };
+            let mut pred = t.load(&self.head).expect("head sentinel");
             for lvl in (0..MAX_HEIGHT).rev() {
-                let mut curr = match pred.next[lvl].load() {
-                    Some(c) => c,
-                    None => {
-                        // A partially-linked tower level: treat as tail
-                        // (only possible transiently during inserts).
-                        continue 'retry;
-                    }
+                let Some(mut curr) = t.load(pred.next(lvl)) else {
+                    continue 'retry;
                 };
                 loop {
-                    // Help unlink marked nodes at this level.
+                    // Help unlink marked nodes at this level. The swing
+                    // installs `succ`, so only `succ` pays for a count.
                     while curr.marked.load() == 1 {
-                        let succ = match curr.next[lvl].load() {
-                            Some(s) => s,
-                            None => continue 'retry,
+                        let Some(succ) = t.load(curr.next(lvl)) else {
+                            continue 'retry;
                         };
-                        if !self.swing(&pred, lvl, Some(&curr), Some(&succ)) {
+                        let Some(counted) = T::count(&succ) else {
+                            continue 'retry;
+                        };
+                        if !self.swing(&pred, lvl, T::raw(&curr), Local::as_raw(&counted)) {
                             continue 'retry;
                         }
                         curr = succ;
@@ -249,21 +363,17 @@ impl<W: DcasWord> LfrcSkipList<W> {
                     if curr.key >= ekey {
                         break;
                     }
-                    let next = match curr.next[lvl].load() {
-                        Some(n) => n,
-                        None => continue 'retry,
+                    let Some(next) = t.load(curr.next(lvl)) else {
+                        continue 'retry;
                     };
                     pred = curr;
                     curr = next;
                 }
-                preds.push(pred.clone());
-                succs.push(curr);
+                w.preds[lvl] = Some(pred.clone());
+                w.succs[lvl] = Some(curr);
                 // `pred` carries down to the next level.
             }
-            // Stored top-down; reverse so index = level.
-            preds.reverse();
-            succs.reverse();
-            return (preds, succs);
+            return w;
         }
     }
 
@@ -271,69 +381,129 @@ impl<W: DcasWord> LfrcSkipList<W> {
     pub fn insert(&self, key: u64) -> bool {
         let ekey = encode_key(key);
         let height = self.random_height();
-        loop {
-            let (preds, succs) = self.find(ekey);
-            if succs[0].key == ekey {
+        match self.strategy {
+            Strategy::Dcas => self.insert_with(Counted, ekey, height),
+            Strategy::DeferredDec | Strategy::DeferredInc => {
+                defer::pinned(|pin| self.insert_with(pin, ekey, height))
+            }
+        }
+    }
+
+    fn insert_with<T: Traversal<W>>(&self, t: T, ekey: u64, height: usize) -> bool {
+        'find: loop {
+            let mut w = self.find(t, ekey);
+            if w.succ(0).key == ekey {
                 return false;
             }
             let node = self.heap.alloc(SkipNode::new(ekey, height));
-            // Prepare the whole tower before publication.
-            for (lvl, succ) in succs.iter().enumerate().take(height) {
-                node.next[lvl].store(Some(succ));
+            // Prepare the whole tower before publication. A successor
+            // that died since the traversal read it means the window is
+            // stale: drop the unpublished node and search again.
+            for lvl in 0..height {
+                let Some(succ) = T::count(w.succ(lvl)) else {
+                    continue 'find;
+                };
+                node.next(lvl).store_consume(succ);
             }
             // Level 0 is the linearization point.
-            if !self.swing(&preds[0], 0, Some(&succs[0]), Some(&node)) {
-                continue; // node drops and is freed; retry from scratch
+            if !self.swing(w.pred(0), 0, T::raw(w.succ(0)), Local::as_raw(&node)) {
+                continue 'find; // node drops and is freed; retry from scratch
             }
-            // Index the upper levels (best-effort; re-find on conflict).
+            // Index the upper levels (best-effort) with the same window.
             for lvl in 1..height {
-                loop {
-                    if node.marked.load() == 1 {
-                        return true; // concurrently removed: stop indexing
-                    }
-                    let (preds, succs) = self.find(ekey);
-                    if succs
-                        .get(lvl)
-                        .map(|s| Local::ptr_eq(s, &node))
-                        .unwrap_or(false)
-                    {
-                        break; // someone (or an earlier pass) linked it
-                    }
-                    // Retarget this level's forward pointer, then link.
-                    // This store may displace an earlier retarget's
-                    // reference eagerly — safe under every strategy:
-                    // `node.next[lvl]` is unreachable to readers until
-                    // the swing below publishes it at this level, so the
-                    // displaced unit covers no pending increment.
-                    node.next[lvl].store(Some(&succs[lvl]));
-                    if self.swing(&preds[lvl], lvl, Some(&succs[lvl]), Some(&node)) {
-                        break;
-                    }
+                if !self.link_level(t, &node, lvl, &mut w) {
+                    break;
                 }
             }
             return true;
         }
     }
 
+    /// Links the published `node` into level `lvl`, starting from the
+    /// window `w` already holds (whose `succ(lvl)` is what
+    /// `node.next[lvl]` points at) and searching again only after a
+    /// failed swing. Returns `false` once `node` is marked: a concurrent
+    /// remove owns it, so indexing stops.
+    fn link_level<T: Traversal<W>>(
+        &self,
+        t: T,
+        node: &NodeRef<W>,
+        lvl: usize,
+        w: &mut Window<T::Node>,
+    ) -> bool {
+        let me = Local::as_raw(node);
+        loop {
+            if node.marked.load() == 1 {
+                return false;
+            }
+            if self.swing(w.pred(lvl), lvl, T::raw(w.succ(lvl)), me) {
+                return true;
+            }
+            // Search again until this level can be retargeted.
+            loop {
+                *w = self.find(t, node.key);
+                if T::raw(w.succ(lvl)) == me {
+                    return true; // already linked at this level
+                }
+                if let Some(succ) = T::count(w.succ(lvl)) {
+                    // This store may displace an earlier target's
+                    // reference eagerly — safe under every strategy:
+                    // `node.next[lvl]` is unreachable to readers until
+                    // the swing publishes `node` at this level, so the
+                    // displaced unit covers no pending increment.
+                    node.next(lvl).store_consume(succ);
+                    break;
+                }
+            }
+        }
+    }
+
     /// Removes `key`; `false` if absent.
     pub fn remove(&self, key: u64) -> bool {
         let ekey = encode_key(key);
+        match self.strategy {
+            Strategy::Dcas => self.remove_with(Counted, ekey),
+            Strategy::DeferredDec | Strategy::DeferredInc => {
+                defer::pinned(|pin| self.remove_with(pin, ekey))
+            }
+        }
+    }
+
+    fn remove_with<T: Traversal<W>>(&self, t: T, ekey: u64) -> bool {
+        let mut w = self.find(t, ekey);
         loop {
-            let (_preds, succs) = self.find(ekey);
-            if succs[0].key != ekey {
+            if w.succ(0).key != ekey {
                 return false;
             }
-            let victim = &succs[0];
-            // Linearization point: the mark.
-            if !victim.marked.compare_and_swap(0, 1) {
-                // Another remover got it; re-find to observe the unlink.
-                continue;
+            // Linearization point: the mark. It fails on a node that died
+            // since the traversal (rc 0 implies marked).
+            if w.succ(0).marked.compare_and_swap(0, 1) {
+                break;
             }
-            // Best-effort physical unlink at every level (top-down);
-            // concurrent finds help with whatever we miss.
-            let _ = self.find(ekey);
-            return true;
+            // Another remover got it; re-find to observe the unlink.
+            w = self.find(t, ekey);
         }
+        // Best-effort physical unlink, top-down, with the preds this
+        // traversal already holds. After a failed swing one more find
+        // helps unlink every level it passes; later finds help with the
+        // rest.
+        let victim = w.succ(0).clone();
+        for lvl in (0..MAX_HEIGHT).rev() {
+            if T::raw(w.succ(lvl)) != T::raw(&victim) {
+                continue; // not linked at this level when we looked
+            }
+            let unlinked = t
+                .load(victim.next(lvl))
+                .and_then(|next| T::count(&next))
+                .is_some_and(|next| {
+                    self.swing(w.pred(lvl), lvl, T::raw(&victim), Local::as_raw(&next))
+                });
+            if !unlinked {
+                let _ = self.find(t, ekey);
+                break;
+            }
+        }
+        true
     }
 
     /// Membership test, dispatching on the instance [`Strategy`]:
@@ -375,7 +545,7 @@ impl<W: DcasWord> LfrcSkipList<W> {
                 return false; // only during teardown
             };
             for lvl in (0..MAX_HEIGHT).rev() {
-                let mut curr = match pred.next[lvl].load_deferred(pin) {
+                let mut curr = match pred.next(lvl).load_deferred(pin) {
                     Some(c) => c,
                     None => {
                         if Borrowed::ref_count(&pred) == 0 {
@@ -385,7 +555,7 @@ impl<W: DcasWord> LfrcSkipList<W> {
                     }
                 };
                 while curr.key < ekey {
-                    let next = match curr.next[lvl].load_deferred(pin) {
+                    let next = match curr.next(lvl).load_deferred(pin) {
                         Some(n) => n,
                         None => {
                             if Borrowed::ref_count(&curr) == 0 {
@@ -424,12 +594,12 @@ impl<W: DcasWord> LfrcSkipList<W> {
                 return false; // only during teardown
             };
             for lvl in (0..MAX_HEIGHT).rev() {
-                let mut curr = match pred.next[lvl].load_counted_inc(pin) {
+                let mut curr = match pred.next(lvl).load_counted_inc(pin) {
                     Some(c) => c,
                     None => continue, // genuinely unlinked level: descend
                 };
                 while curr.key < ekey {
-                    let next = match curr.next[lvl].load_counted_inc(pin) {
+                    let next = match curr.next(lvl).load_counted_inc(pin) {
                         Some(n) => n,
                         None => break, // genuine end of this level
                     };
@@ -451,12 +621,12 @@ impl<W: DcasWord> LfrcSkipList<W> {
         let ekey = encode_key(key);
         let mut pred = self.head.load().expect("head sentinel");
         for lvl in (0..MAX_HEIGHT).rev() {
-            let mut curr = match pred.next[lvl].load() {
+            let mut curr = match pred.next(lvl).load() {
                 Some(c) => c,
                 None => continue,
             };
             while curr.key < ekey {
-                let next = match curr.next[lvl].load() {
+                let next = match curr.next(lvl).load() {
                     Some(n) => n,
                     None => break,
                 };
@@ -473,10 +643,17 @@ impl<W: DcasWord> LfrcSkipList<W> {
     /// Bounded ascending range scan: up to `limit` live keys `>= start`,
     /// in key order.
     ///
-    /// The descent and the level-0 walk both use **counted** loads
-    /// (`LFRCLoad` DCAS per hop), which are sound under every
-    /// [`Strategy`] — each hop holds a real count on the node it visits,
-    /// so a concurrent remove can unlink but never free a node mid-walk.
+    /// A top-down descent to the last node below `start`, then a level-0
+    /// walk, on the instance's [`Traversal`]: counted `LFRCLoad`s under
+    /// `Strategy::Dcas`; under both deferred strategies, plain-load
+    /// borrows inside one [`defer::pinned`] scope with no count taken at
+    /// all. A key is returned only if its node reads unmarked, which
+    /// proves the node was live then (a node reaches rc 0 only after it
+    /// is marked). A null link can only be a harvested field on a node
+    /// freed under the walk; the scan then descends again from the key
+    /// after the last one returned, so the output stays sorted and
+    /// duplicate-free.
+    ///
     /// The scan is not an atomic snapshot: each returned key was live at
     /// the moment its node was inspected, which is the usual guarantee
     /// for lock-free range queries (keys inserted or removed while the
@@ -486,43 +663,51 @@ impl<W: DcasWord> LfrcSkipList<W> {
             return Vec::new();
         }
         let estart = encode_key(start);
-        // Counted top-down descent (as in `contains_counted`) to reach
-        // the last node with key < estart without walking the full list.
-        let mut pred = self.head.load().expect("head sentinel");
-        for lvl in (0..MAX_HEIGHT).rev() {
-            let mut curr = match pred.next[lvl].load() {
-                Some(c) => c,
-                None => continue,
-            };
-            while curr.key < estart {
-                let next = match curr.next[lvl].load() {
-                    Some(n) => n,
-                    None => break,
+        match self.strategy {
+            Strategy::Dcas => self.scan_with(Counted, estart, limit),
+            Strategy::DeferredDec | Strategy::DeferredInc => {
+                defer::pinned(|pin| self.scan_with(pin, estart, limit))
+            }
+        }
+    }
+
+    fn scan_with<T: Traversal<W>>(&self, t: T, estart: u64, limit: usize) -> Vec<u64> {
+        let mut out = Vec::with_capacity(limit.min(64));
+        // Encoded key the walk resumes from after a restart.
+        let mut from = estart;
+        'restart: loop {
+            let mut pred = t.load(&self.head).expect("head sentinel");
+            for lvl in (0..MAX_HEIGHT).rev() {
+                let Some(mut curr) = t.load(pred.next(lvl)) else {
+                    continue 'restart;
                 };
-                pred = curr;
+                while curr.key < from {
+                    let Some(next) = t.load(curr.next(lvl)) else {
+                        continue 'restart;
+                    };
+                    pred = curr;
+                    curr = next;
+                }
+            }
+            // Level-0 walk from pred, collecting live in-range keys.
+            let mut curr = pred;
+            loop {
+                let Some(next) = t.load(curr.next(0)) else {
+                    continue 'restart;
+                };
+                if next.key == TAIL_KEY {
+                    return out;
+                }
+                if next.key >= from && next.marked.load() == 0 {
+                    out.push(next.key - 1); // decode
+                    if out.len() == limit {
+                        return out;
+                    }
+                    from = next.key + 1;
+                }
                 curr = next;
             }
         }
-        // Level-0 walk from pred, collecting live in-range keys.
-        let mut out = Vec::with_capacity(limit.min(64));
-        let mut curr = pred;
-        loop {
-            let next = match curr.next[0].load() {
-                Some(n) => n,
-                None => break,
-            };
-            if next.key == TAIL_KEY {
-                break;
-            }
-            if next.key >= estart && next.marked.load() == 0 {
-                out.push(next.key - 1); // decode
-                if out.len() == limit {
-                    break;
-                }
-            }
-            curr = next;
-        }
-        out
     }
 
     /// Number of live keys (O(n) level-0 walk; diagnostics).
@@ -530,7 +715,7 @@ impl<W: DcasWord> LfrcSkipList<W> {
         let mut n = 0;
         let mut curr = self.head.load().expect("head sentinel");
         loop {
-            let next = curr.next[0].load();
+            let next = curr.next(0).load();
             let Some(next) = next else { break };
             if next.key != TAIL_KEY && next.marked.load() == 0 {
                 n += 1;
@@ -837,6 +1022,129 @@ mod tests {
             drop(s);
             assert_census_drains(&census);
         }
+    }
+
+    #[test]
+    fn scan_survives_concurrent_churn_every_strategy() {
+        // Two writers churn every key of [BASE, BASE + SPAN) that is not a
+        // multiple of 4 while a scanner walks the range. The borrowed
+        // walks land on nodes freed under them; the scan must stay sorted
+        // and in range, and never miss a stable key (multiples of 4,
+        // inserted up front and never touched).
+        const BASE: u64 = 1_000;
+        const SPAN: u64 = 64;
+        let stable: Vec<u64> = (BASE..BASE + SPAN).step_by(4).collect();
+        for strategy in Strategy::ALL {
+            let s: LfrcSkipList<McasWord> = LfrcSkipList::with_strategy(strategy);
+            let census = std::sync::Arc::clone(s.heap().census());
+            for &k in &stable {
+                assert!(s.insert(k));
+            }
+            let barrier = Barrier::new(3);
+            std::thread::scope(|scope| {
+                for t in 0..2u64 {
+                    let (s, barrier) = (&s, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        for _ in 0..40 {
+                            let churn = (BASE..BASE + SPAN).filter(|k| k % 4 != 0);
+                            for k in churn.clone().filter(|k| k % 2 == t) {
+                                s.insert(k);
+                            }
+                            for k in churn {
+                                s.remove(k);
+                            }
+                        }
+                        lfrc_core::settle_thread();
+                        lfrc_core::defer::flush_thread();
+                    });
+                }
+                let (s, barrier, stable) = (&s, &barrier, &stable);
+                scope.spawn(move || {
+                    barrier.wait();
+                    for i in 0..1_500u64 {
+                        let start = BASE + i % SPAN;
+                        let limit = if i % 2 == 0 { usize::MAX } else { 6 };
+                        let got = s.scan(start, limit);
+                        assert!(got.len() <= limit, "{strategy}: over limit");
+                        assert!(got.windows(2).all(|w| w[0] < w[1]), "{strategy}: {got:?}");
+                        assert!(got.iter().all(|&k| (start..BASE + SPAN).contains(&k)));
+                        // Every stable key in [start, end] must be there,
+                        // where `end` is the range end or, for a full
+                        // page, the last key returned.
+                        let end = match got.last() {
+                            Some(&last) if got.len() == limit => last,
+                            _ => BASE + SPAN,
+                        };
+                        for k in stable.iter().filter(|&&k| k >= start && k <= end) {
+                            assert!(got.contains(k), "{strategy}: stable {k} missing: {got:?}");
+                        }
+                    }
+                    lfrc_core::settle_thread();
+                    lfrc_core::defer::flush_thread();
+                });
+            });
+            assert_eq!(s.scan(0, usize::MAX), stable, "{strategy}");
+            drop(s);
+            assert_census_drains(&census);
+        }
+    }
+
+    #[test]
+    fn every_strategy_agrees_after_concurrent_writes() {
+        // The same contended put/delete race under each strategy: the
+        // final set must equal the net effect each thread reports, and
+        // every count must drain (a borrowed-pred swing that released a
+        // unit it did not own would show as a leak or a canary hit).
+        for strategy in Strategy::ALL {
+            let s: LfrcSkipList<McasWord> = LfrcSkipList::with_strategy(strategy);
+            let census = std::sync::Arc::clone(s.heap().census());
+            let net = AtomicU64::new(0);
+            std::thread::scope(|scope| {
+                for t in 0..3u64 {
+                    let (s, net) = (&s, &net);
+                    scope.spawn(move || {
+                        let mut x = (t + 1).wrapping_mul(0x9e3779b97f4a7c15) | 1;
+                        for _ in 0..2_000 {
+                            x ^= x << 13;
+                            x ^= x >> 7;
+                            x ^= x << 17;
+                            let k = x % 32;
+                            if x & 2 == 0 {
+                                if s.insert(k) {
+                                    net.fetch_add(1, Ordering::Relaxed);
+                                }
+                            } else if s.remove(k) {
+                                net.fetch_sub(1, Ordering::Relaxed);
+                            }
+                        }
+                        lfrc_core::settle_thread();
+                        lfrc_core::defer::flush_thread();
+                    });
+                }
+            });
+            let keys = s.scan(0, usize::MAX);
+            assert_eq!(keys.len() as u64, net.load(Ordering::Relaxed), "{strategy}");
+            assert_eq!(keys.len(), s.len(), "{strategy}");
+            for k in 0..32u64 {
+                assert_eq!(s.contains(k), keys.contains(&k), "{strategy}: key {k}");
+            }
+            assert_eq!(census.rc_on_freed(), 0, "{strategy}");
+            drop(s);
+            assert_census_drains(&census);
+        }
+    }
+
+    #[test]
+    fn short_towers_fit_one_pool_slot() {
+        // Levels 0–1 live inside the node, so a node of height ≤ 2 is one
+        // allocation, and the whole box still fits a 128-byte slot.
+        assert!(std::mem::size_of::<lfrc_core::LfrcBox<SkipNode<McasWord>, McasWord>>() <= 128);
+        let node: SkipNode<McasWord> = SkipNode::new(7, 2);
+        assert!(node.high.is_empty());
+        let mut links = 0;
+        SkipNode::<McasWord>::new(7, 5).for_each_link(&mut |_| links += 1);
+        assert_eq!(links, 5);
     }
 
     #[test]
