@@ -1,25 +1,15 @@
-//! Bench companion to experiment E15: MCAS attempt latency per
-//! descriptor lifetime mode — `Immortal` (per-thread sequence-numbered
-//! slots, never reclaimed) vs `Pooled` (slab + epoch retirement) vs
-//! `Boxed` (global allocator + epoch retirement).
-//!
+//! Bench companion to experiment E15: MCAS attempt latency on immortal
+//! descriptors (per-thread sequence-numbered slots, never reclaimed).
 //! Three layers of measurement:
 //!
 //! 1. Minibench micro-costs — uncontended `dcas` and 4-entry `mcas`
-//!    attempts through each mode.
-//! 2. A manual ns/attempt table for the same primitive, with the
-//!    `Pooled/Immortal` and `Boxed/Immortal` ratios — the ISSUE 7
-//!    acceptance bar is a measurable drop in attempt cost.
+//!    attempts.
+//! 2. A manual ns/attempt figure for the same primitive.
 //! 3. A multi-thread contended sweep: N threads hammering DCAS over one
-//!    shared cell pair per mode, total Mops/s — contention is where the
-//!    help path's descriptor traffic (and therefore the lifetime cost)
-//!    concentrates. A final counter readout shows the Immortal window
-//!    performed zero epoch retirements and zero pool consultations.
-//!
-//! Mode selection uses the per-thread override so the sweep cannot
-//! perturb other processes; `LFRC_DESC_MODE` (via `DescMode::from_env`)
-//! additionally selects the env-pinned row for bench parity with the
-//! other experiments' env knobs.
+//!    shared cell pair, total Mops/s — contention is where the help
+//!    path's descriptor traffic concentrates. The counter readout
+//!    asserts each window performed zero epoch retirements and zero
+//!    pool consultations.
 
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -27,7 +17,7 @@ use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use lfrc_bench::Minibench;
-use lfrc_dcas::{set_thread_desc_mode, DcasWord, DescMode, McasOp, McasWord};
+use lfrc_dcas::{desc_mode, DcasWord, McasOp, McasWord};
 use lfrc_obs::{Counter, Snapshot};
 
 /// One uncontended identity DCAS attempt (always succeeds, no retry
@@ -36,7 +26,7 @@ fn one_dcas(a: &McasWord, b: &McasWord) {
     black_box(McasWord::dcas(a, b, 1, 2, 1, 2));
 }
 
-/// Mean ns per uncontended attempt for the calling thread's mode.
+/// Mean ns per uncontended attempt.
 fn ns_per_attempt(reps: u64) -> f64 {
     let a = McasWord::new(1);
     let b = McasWord::new(2);
@@ -53,9 +43,9 @@ fn ns_per_attempt(reps: u64) -> f64 {
 }
 
 /// Runs `threads` workers hammering DCAS increments over one shared
-/// cell pair in `mode` for `window`; returns total Mops/s (one op = one
-/// attempt, successful or not — attempts are what descriptors cost).
-fn contended_mops(mode: DescMode, threads: usize, window: Duration) -> f64 {
+/// cell pair for `window`; returns total Mops/s (one op = one attempt,
+/// successful or not — attempts are what descriptors cost).
+fn contended_mops(threads: usize, window: Duration) -> f64 {
     let a = McasWord::new(0);
     let b = McasWord::new(0);
     let stop = AtomicBool::new(false);
@@ -65,7 +55,6 @@ fn contended_mops(mode: DescMode, threads: usize, window: Duration) -> f64 {
             .map(|_| {
                 let (a, b, stop, barrier) = (&a, &b, &stop, &barrier);
                 s.spawn(move || {
-                    set_thread_desc_mode(Some(mode));
                     let mut ops = 0u64;
                     barrier.wait();
                     while !stop.load(Ordering::Relaxed) {
@@ -90,10 +79,10 @@ fn contended_mops(mode: DescMode, threads: usize, window: Duration) -> f64 {
 
 fn main() {
     let mut c = Minibench::from_args();
+    let mode = desc_mode().name();
 
-    // Layer 1: uncontended micro-costs per mode.
-    for mode in DescMode::ALL {
-        set_thread_desc_mode(Some(mode));
+    // Layer 1: uncontended micro-costs.
+    {
         let mut g = c.group(format!("e15/{mode}"));
         let a = McasWord::new(1);
         let b = McasWord::new(2);
@@ -113,30 +102,16 @@ fn main() {
         });
         g.finish();
     }
-    set_thread_desc_mode(None);
 
-    // Layer 2: ns/attempt and the acceptance ratios.
+    // Layer 2: ns/attempt.
     const REPS: u64 = 200_000;
-    let mut ns = [0.0f64; 3];
-    for (i, mode) in DescMode::ALL.into_iter().enumerate() {
-        set_thread_desc_mode(Some(mode));
-        ns[i] = ns_per_attempt(REPS);
-    }
-    set_thread_desc_mode(None);
+    let ns = ns_per_attempt(REPS);
     println!();
     println!("e15 uncontended dcas attempt cost ({REPS} reps)");
     println!("{:>10} {:>12}", "mode", "ns/attempt");
-    for (i, mode) in DescMode::ALL.into_iter().enumerate() {
-        println!("{:>10} {:>12.2}", mode.name(), ns[i]);
-    }
-    println!(
-        "pooled / immortal ratio: {:.2}x, boxed / immortal ratio: {:.2}x \
-         (acceptance: immortal measurably cheaper)",
-        ns[1] / ns[0],
-        ns[2] / ns[0]
-    );
+    println!("{mode:>10} {ns:>12.2}");
 
-    // Layer 3: contended throughput sweep, with the Immortal window's
+    // Layer 3: contended throughput sweep, with each window's
     // zero-alloc / zero-defer evidence read off the counters.
     let window = Duration::from_millis(300);
     println!();
@@ -146,35 +121,24 @@ fn main() {
     );
     println!("{:>8} {:>10} {:>12}", "threads", "mode", "Mops/s");
     for threads in [2usize, 4, 8] {
-        for mode in DescMode::ALL {
-            let before = Snapshot::take();
-            let mops = contended_mops(mode, threads, window);
-            let delta = Snapshot::take().diff(&before);
-            println!("{threads:>8} {:>10} {mops:>12.2}", mode.name());
-            if mode == DescMode::Immortal && lfrc_obs::enabled() {
-                assert_eq!(
-                    delta.get(Counter::EpochRetired),
-                    0,
-                    "immortal contended window performed an epoch retirement"
-                );
-                assert_eq!(
-                    delta.get(Counter::PoolMagazineHit) + delta.get(Counter::PoolMagazineMiss),
-                    0,
-                    "immortal contended window consulted the slab pool"
-                );
-            }
+        let before = Snapshot::take();
+        let mops = contended_mops(threads, window);
+        let delta = Snapshot::take().diff(&before);
+        println!("{threads:>8} {mode:>10} {mops:>12.2}");
+        if lfrc_obs::enabled() {
+            assert_eq!(
+                delta.get(Counter::EpochRetired),
+                0,
+                "contended window performed an epoch retirement"
+            );
+            assert_eq!(
+                delta.get(Counter::PoolMagazineHit) + delta.get(Counter::PoolMagazineMiss),
+                0,
+                "contended window consulted the slab pool"
+            );
         }
     }
     if lfrc_obs::enabled() {
-        println!("immortal windows: 0 epoch retirements, 0 pool consultations (asserted)");
+        println!("{mode} windows: 0 epoch retirements, 0 pool consultations (asserted)");
     }
-
-    let env = DescMode::from_env();
-    set_thread_desc_mode(Some(env));
-    let env_ns = ns_per_attempt(REPS / 4);
-    set_thread_desc_mode(None);
-    println!(
-        "env-selected (LFRC_DESC_MODE): {} -> {env_ns:.2} ns/attempt",
-        env.name()
-    );
 }

@@ -1,25 +1,17 @@
 //! The emulator's private reclamation domain.
 //!
-//! Two kinds of memory must outlive their logical lifetime inside the
-//! DCAS emulation:
+//! A failing emulated DCAS (or a lagging helper) may still *read* a cell
+//! inside an object the algorithm has already freed — exactly the stray
+//! read hardware DCAS performs (see the crate docs). Allocations that
+//! contain cells are therefore retired into one process-wide epoch
+//! [`Collector`] (`lfrc-reclaim`); every emulated operation runs inside a
+//! pin guard, so retired memory is physically freed only once no
+//! in-flight operation can touch it. None of this is visible to the LFRC
+//! algorithm above: it calls "free" where the paper says, and never sees
+//! the object again.
 //!
-//! 1. **Operation descriptors** (MCAS/RDCSS) in the `Pooled`/`Boxed`
-//!    ablation modes: helpers may dereference a heap descriptor found in
-//!    a cell after the owning operation finished. The default
-//!    [`DescMode::Immortal`](crate::DescMode) path never retires
-//!    descriptors at all — its slots live forever and helpers validate a
-//!    packed sequence number instead (DESIGN.md §5.14) — so this epoch
-//!    argument only carries the ablation modes.
-//! 2. **User allocations containing cells**: a failing emulated DCAS (or a
-//!    lagging helper) may still *read* a cell inside an object the
-//!    algorithm has already freed — exactly the stray read hardware DCAS
-//!    performs (see the crate docs).
-//!
-//! Both are retired into one process-wide epoch [`Collector`]
-//! (`lfrc-reclaim`); every emulated operation runs inside a pin guard, so
-//! retired memory is physically freed only once no in-flight operation can
-//! touch it. None of this is visible to the LFRC algorithm above: it calls
-//! "free" where the paper says, and never sees the object again.
+//! MCAS/RDCSS descriptors never enter this domain: they are immortal
+//! per-thread slots (DESIGN.md §5.14).
 
 use std::cell::OnceCell;
 use std::sync::OnceLock;
@@ -120,8 +112,8 @@ pub unsafe fn retire_fn(data: *mut (), call: unsafe fn(*mut ())) {
     with_guard(|guard| unsafe { guard.defer_fn(data, call) });
 }
 
-/// Counters of the emulator's reclamation domain (descriptors + retired
-/// user objects). Used by the memory experiments to report how much
+/// Counters of the emulator's reclamation domain (retired user objects
+/// and pool slabs). Used by the memory experiments to report how much
 /// physically-unreclaimed memory the emulation itself is holding.
 pub fn emulation_stats() -> StatsSnapshot {
     collector().stats()
@@ -150,23 +142,6 @@ pub fn quiesce() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn retire_box_defers_then_frees() {
-        static DROPS: AtomicUsize = AtomicUsize::new(0);
-        struct Noisy;
-        impl Drop for Noisy {
-            fn drop(&mut self) {
-                DROPS.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let before = DROPS.load(Ordering::SeqCst);
-        let p = Box::into_raw(Box::new(Noisy));
-        unsafe { retire_box(p) };
-        quiesce();
-        assert_eq!(DROPS.load(Ordering::SeqCst), before + 1);
-    }
 
     #[test]
     fn with_guard_is_reentrant() {

@@ -15,8 +15,8 @@
 //! This module lives in `lfrc-obs` — the bottom of the crate graph — so
 //! that *every* instrumented crate (`lfrc-dcas`, `lfrc-core`,
 //! `lfrc-deque`, `lfrc-pool`) can reach it without dependency cycles:
-//! the pool sits below the DCAS emulation (which allocates descriptors
-//! from it) yet still needs its own yield sites. The dependency arrow
+//! the pool sits below the DCAS emulation (which wires the pool's slab
+//! retirement into its epoch) yet still needs its own yield sites. The dependency arrow
 //! points from the tool to the code under test, never back; `lfrc-dcas`
 //! re-exports this module under its historical path
 //! (`lfrc_dcas::instrument`), so call sites are unchanged.
@@ -92,11 +92,6 @@ pub enum InstrSite {
     /// physical deallocation has not yet been epoch-deferred — the window
     /// the one-epoch retirement lag exists to protect.
     PoolSlabRetire,
-    /// MCAS/RDCSS: a descriptor is about to be allocated (pool or Box
-    /// fallback). A thread that dies here has published nothing; a thread
-    /// that dies just *after* leaves a descriptor only helping can
-    /// resolve — both halves of the paper's "failed thread" story.
-    DescAlloc,
     /// Deferred-increment counted load (`Strategy::DeferredInc`): the
     /// plain pointer read has happened but the pending increment has not
     /// yet been appended — the widest version of the CAS-only gap of §1,
@@ -155,7 +150,8 @@ impl InstrSite {
             InstrSite::PoolMagazineHit => 15,
             InstrSite::PoolRemoteFree => 16,
             InstrSite::PoolSlabRetire => 17,
-            InstrSite::DescAlloc => 18,
+            // 18 belonged to the deleted heap-descriptor allocation site;
+            // tags are mixed into trace hashes, so the others keep theirs.
             InstrSite::IncLoad => 19,
             InstrSite::IncAppend => 20,
             InstrSite::IncSettle => 21,
@@ -186,7 +182,6 @@ impl InstrSite {
             InstrSite::PoolMagazineHit => "pool-magazine-hit",
             InstrSite::PoolRemoteFree => "pool-remote-free",
             InstrSite::PoolSlabRetire => "pool-slab-retire",
-            InstrSite::DescAlloc => "desc-alloc",
             InstrSite::IncLoad => "inc-load",
             InstrSite::IncAppend => "inc-append",
             InstrSite::IncSettle => "inc-settle",
@@ -197,9 +192,13 @@ impl InstrSite {
         }
     }
 
+    /// The largest [`tag`](Self::tag). Retired tags leave gaps, so
+    /// tables indexed by `tag - 1` are sized by this, not by `ALL.len()`.
+    pub const MAX_TAG: u64 = 25;
+
     /// Every instrumented site, in tag order. Fault-injection sweeps
     /// iterate this to prove each site is actually reachable.
-    pub const ALL: [InstrSite; 25] = [
+    pub const ALL: [InstrSite; 24] = [
         InstrSite::LoadDcasWindow,
         InstrSite::DestroyDecrement,
         InstrSite::RdcssInstalled,
@@ -217,7 +216,6 @@ impl InstrSite {
         InstrSite::PoolMagazineHit,
         InstrSite::PoolRemoteFree,
         InstrSite::PoolSlabRetire,
-        InstrSite::DescAlloc,
         InstrSite::IncLoad,
         InstrSite::IncAppend,
         InstrSite::IncSettle,
@@ -301,9 +299,6 @@ pub enum AllocSite {
     /// as a clean `Err` from the fallible `Heap::try_alloc` path (the
     /// infallible `Heap::alloc` would abort, as `Box::new` does).
     HeapGlobal,
-    /// `desc_alloc` asking the slab pool for an MCAS/RDCSS descriptor.
-    /// Refusal exercises the descriptor Box fallback.
-    DescPool,
     /// The slab pool's refill cold path (magazine miss). Refusal makes
     /// `lfrc_pool::alloc` return `None`, which every caller must treat
     /// as "fall back to the global allocator".
@@ -311,11 +306,13 @@ pub enum AllocSite {
 }
 
 impl AllocSite {
+    /// The largest [`tag`](Self::tag); see [`InstrSite::MAX_TAG`].
+    pub const MAX_TAG: u64 = 4;
+
     /// Every alloc-fault site; OOM sweeps iterate this.
-    pub const ALL: [AllocSite; 4] = [
+    pub const ALL: [AllocSite; 3] = [
         AllocSite::HeapPooled,
         AllocSite::HeapGlobal,
-        AllocSite::DescPool,
         AllocSite::PoolRefill,
     ];
 
@@ -324,7 +321,7 @@ impl AllocSite {
         match self {
             AllocSite::HeapPooled => 1,
             AllocSite::HeapGlobal => 2,
-            AllocSite::DescPool => 3,
+            // 3 belonged to the deleted heap-descriptor pool site.
             AllocSite::PoolRefill => 4,
         }
     }
@@ -334,7 +331,6 @@ impl AllocSite {
         match self {
             AllocSite::HeapPooled => "heap-pooled",
             AllocSite::HeapGlobal => "heap-global",
-            AllocSite::DescPool => "desc-pool",
             AllocSite::PoolRefill => "pool-refill",
         }
     }
@@ -433,7 +429,9 @@ mod tests {
         tags.sort_unstable();
         tags.dedup();
         assert_eq!(tags.len(), InstrSite::ALL.len());
-        assert_eq!(tags, (1..=InstrSite::ALL.len() as u64).collect::<Vec<_>>());
+        // Contiguous except for the retired tag 18.
+        let expected: Vec<u64> = (1..=InstrSite::MAX_TAG).filter(|&t| t != 18).collect();
+        assert_eq!(tags, expected);
     }
 
     #[test]
@@ -442,6 +440,8 @@ mod tests {
         tags.sort_unstable();
         tags.dedup();
         assert_eq!(tags.len(), AllocSite::ALL.len());
+        // Contiguous except for the retired tag 3.
+        assert_eq!(tags, vec![1, 2, AllocSite::MAX_TAG]);
     }
 
     #[test]
@@ -454,6 +454,6 @@ mod tests {
             !alloc_faults_compiled()
         );
         set_thread_alloc_hook(None);
-        assert!(alloc_allowed(AllocSite::DescPool));
+        assert!(alloc_allowed(AllocSite::PoolRefill));
     }
 }

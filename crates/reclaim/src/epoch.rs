@@ -371,18 +371,32 @@ impl Collector {
         if items.is_empty() {
             return;
         }
-        let node = Box::into_raw(Box::new(OrphanNode {
+        self.push_orphan_chain(Box::into_raw(Box::new(OrphanNode {
             items,
             next: ptr::null_mut(),
-        }));
+        })));
+    }
+
+    /// Pushes a null-terminated chain of orphan nodes the caller owns.
+    fn push_orphan_chain(&self, first: *mut OrphanNode) {
+        if first.is_null() {
+            return;
+        }
+        let mut last = first;
+        // Safety: the caller owns every node of the chain.
+        unsafe {
+            while !(*last).next.is_null() {
+                last = (*last).next;
+            }
+        }
         loop {
             let head = self.inner.orphans.load(Ordering::Acquire);
-            // Safety: freshly allocated, not yet shared.
-            unsafe { (*node).next = head };
+            // Safety: `last` is owned until the CAS below publishes it.
+            unsafe { (*last).next = head };
             if self
                 .inner
                 .orphans
-                .compare_exchange(head, node, Ordering::AcqRel, Ordering::Acquire)
+                .compare_exchange(head, first, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
                 return;
@@ -390,26 +404,21 @@ impl Collector {
         }
     }
 
-    /// Pops one orphan bag, if any.
-    fn pop_orphan(&self) -> Option<Box<OrphanNode>> {
-        loop {
-            let head = self.inner.orphans.load(Ordering::Acquire);
-            if head.is_null() {
-                return None;
-            }
-            // Safety: orphan nodes are only freed by the thread that pops
-            // them, and only one thread's CAS can succeed per node.
-            let next = unsafe { (*head).next };
-            if self
-                .inner
-                .orphans
-                .compare_exchange(head, next, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                // Safety: we won the pop.
-                return Some(unsafe { Box::from_raw(head) });
-            }
+    /// Takes the whole orphan list, leaving it empty; the caller owns
+    /// every node of the returned chain.
+    ///
+    /// The list is only ever emptied whole. Popping one node by CAS would
+    /// have to read `head.next` while another thread may already have
+    /// popped and freed `head`, and a recycled `head` address would let
+    /// that stale CAS succeed (ABA) — both seen as use-after-free and
+    /// double-free crashes under concurrent thread exits.
+    fn take_orphans(&self) -> *mut OrphanNode {
+        // Read first: the list is usually empty, and a swap would write
+        // the shared line on every collect.
+        if self.inner.orphans.load(Ordering::Acquire).is_null() {
+            return ptr::null_mut();
         }
+        self.inner.orphans.swap(ptr::null_mut(), Ordering::AcqRel)
     }
 }
 
@@ -589,14 +598,19 @@ impl LocalHandle {
     }
 
     fn reap_orphans(&self, global: u64) {
+        let mut node = self.collector.take_orphans();
+        let mut keep = Vec::new();
+        let mut freed = 0u64;
+        let now = lfrc_obs::hist::now_ns();
         for _ in 0..ORPHAN_ADOPT_LIMIT {
-            let Some(node) = self.collector.pop_orphan() else {
-                return;
-            };
-            let mut keep = Vec::new();
-            let mut freed = 0u64;
-            let now = lfrc_obs::hist::now_ns();
-            for (e, ts, d) in node.items {
+            if node.is_null() {
+                break;
+            }
+            // Safety: `take_orphans` made this thread the chain's owner.
+            let adopted = unsafe { Box::from_raw(node) };
+            node = adopted.next;
+            let freed_before = freed;
+            for (e, ts, d) in adopted.items {
                 if e + 2 <= global {
                     d.execute();
                     if ts != 0 {
@@ -610,13 +624,14 @@ impl LocalHandle {
                     keep.push((e, ts, d));
                 }
             }
-            self.collector.inner.stats.note_freed(freed);
-            self.collector.push_orphans(keep);
-            if freed == 0 {
+            if freed == freed_before {
                 // Nothing in the orphan list is eligible yet; stop churning.
-                return;
+                break;
             }
         }
+        self.collector.inner.stats.note_freed(freed);
+        self.collector.push_orphan_chain(node);
+        self.collector.push_orphans(keep);
     }
 }
 
@@ -919,6 +934,44 @@ mod tests {
         survivor.flush();
         let s = c.stats();
         assert_eq!(s.retired, (THREADS * OPS) as u64);
+        assert_eq!(s.pending(), 0);
+    }
+
+    #[test]
+    fn orphan_reaping_survives_concurrent_thread_exits() {
+        // Every round drops a handle with garbage still in its bag (an
+        // orphan push) and then collects from a fresh handle (an orphan
+        // reap), on several threads at once — the pattern of scheduled
+        // tests, whose bodies run on short-lived threads. Reaps take the
+        // whole list and push back what they did not adopt; nothing may
+        // be lost or run twice.
+        const THREADS: usize = 4;
+        const ROUNDS: usize = 400;
+        const PER_ROUND: usize = 3;
+        let c = Collector::new();
+        let barrier = Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    barrier.wait();
+                    for i in 0..ROUNDS {
+                        {
+                            let h = c.register();
+                            let g = h.pin();
+                            for j in 0..PER_ROUND {
+                                let p = Box::into_raw(Box::new([i, j]));
+                                unsafe { g.defer_destroy(p) };
+                            }
+                        }
+                        c.register().collect();
+                    }
+                });
+            }
+        });
+        let survivor = c.register();
+        survivor.flush();
+        let s = c.stats();
+        assert_eq!(s.retired, (THREADS * ROUNDS * PER_ROUND) as u64);
         assert_eq!(s.pending(), 0);
     }
 

@@ -19,10 +19,11 @@
 //!   worst case in experiment E3.
 //!
 //! The [`epoch`] module is additionally used *inside* the software-DCAS
-//! emulator (`lfrc-dcas`) to recycle operation descriptors. That use is an
-//! artifact of emulating the paper's hardware DCAS in software — a real
-//! `CAS2` instruction allocates nothing — and is documented as such in
-//! DESIGN.md §2.
+//! emulator (`lfrc-dcas`) to keep freed objects mapped while a failing
+//! emulated DCAS may still read their cells. That use is an artifact of
+//! emulating the paper's hardware DCAS in software — a real `CAS2`
+//! instruction touches no reclamation scheme — and is documented as such
+//! in DESIGN.md §2.
 //!
 //! Note (paper footnote 2): a *blocking* collector does not make a
 //! GC-dependent lock-free structure non-lock-free; nevertheless the EBR

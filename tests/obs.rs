@@ -12,7 +12,6 @@ use std::sync::Mutex;
 
 use lfrc_repro::core::{DcasWord, Heap, Links, McasWord, PtrField, SharedField};
 use lfrc_repro::dcas::mcas::test_support;
-use lfrc_repro::dcas::{set_thread_desc_mode, DescMode};
 use lfrc_repro::harness::{run_ops_recorded, PhaseRecorder, SplitMix64};
 use lfrc_repro::obs::hist::{self, Hist, HistSnapshot, Histogram};
 use lfrc_repro::obs::{self, serve_metrics, Counter, Snapshot};
@@ -180,7 +179,6 @@ fn mcas_help_and_desc_counters_flow_into_exports() {
 
     // Deterministic: immortal slot reuse, then a helper holding a word
     // across the reuse, which must abandon (seq invalid + abandoned).
-    set_thread_desc_mode(Some(DescMode::Immortal));
     let a = McasWord::new(0);
     let b = McasWord::new(0);
     for i in 0..8 {
@@ -189,7 +187,6 @@ fn mcas_help_and_desc_counters_flow_into_exports() {
     let stale = test_support::thread_mcas_word();
     assert!(McasWord::dcas(&a, &b, 8, 8, 9, 9));
     assert!(!test_support::validated_help(stale));
-    set_thread_desc_mode(None);
 
     // Contended: two MCAS racers over the same cells plus a reader;
     // a schedule that parks one racer inside its installed operation
@@ -255,7 +252,7 @@ fn mcas_help_and_desc_counters_flow_into_exports() {
     }
 }
 
-/// The Immortal mode's acceptance criterion (ISSUE 7), counter edition:
+/// The immortal descriptors' acceptance criterion, counter edition:
 /// after warmup, a window of immortal MCAS attempts performs zero epoch
 /// deferrals and zero slab-pool consultations — each attempt reuses the
 /// thread's slots in place. (`--features inject` proves the
@@ -264,7 +261,6 @@ fn mcas_help_and_desc_counters_flow_into_exports() {
 #[test]
 fn immortal_mcas_attempts_allocate_and_defer_nothing() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    set_thread_desc_mode(Some(DescMode::Immortal));
     let a = McasWord::new(0);
     let b = McasWord::new(0);
     // Warmup: materialize this thread's slots and drain earlier garbage
@@ -279,7 +275,6 @@ fn immortal_mcas_attempts_allocate_and_defer_nothing() {
         assert!(McasWord::dcas(&a, &b, i + 1, i + 1, i + 2, i + 2));
     }
     let delta = Snapshot::take().diff(&before);
-    set_thread_desc_mode(None);
     if obs::enabled() {
         assert!(
             delta.get(Counter::DescImmortalReuse) >= N,
