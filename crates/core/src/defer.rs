@@ -64,12 +64,11 @@
 
 use std::cell::RefCell;
 use std::fmt;
-use std::marker::PhantomData;
 use std::ops::Deref;
 use std::ptr::NonNull;
 
 use lfrc_dcas::instrument::yield_point;
-use lfrc_dcas::{DcasWord, InstrSite};
+use lfrc_dcas::{DcasWord, Guard, InstrSite};
 
 use crate::local::Local;
 use crate::object::{LfrcBox, Links};
@@ -265,13 +264,33 @@ pub(crate) fn take_parked_decrement(p: *mut ()) -> bool {
 /// Only [`pinned`] creates one; holding `&Pin` proves freed-but-borrowed
 /// memory stays mapped. Deliberately `!Send`: the pin is a property of
 /// the current thread.
+///
+/// A `Pin` also carries the guard its scope holds, so a cell read made
+/// under it ([`Pin::read`]) does not pin a second time (DESIGN.md §5.9).
 pub struct Pin {
-    _not_send: PhantomData<*mut ()>,
+    /// The guard [`pinned`] holds open for as long as this `Pin` exists,
+    /// with its lifetime erased; [`Pin::read`] restores a lifetime no
+    /// longer than the `Pin`'s own borrow. The raw pointer also makes
+    /// `Pin` `!Send` and `!Sync`.
+    guard: *const Guard<'static>,
 }
 
 impl fmt::Debug for Pin {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Pin").finish_non_exhaustive()
+    }
+}
+
+impl Pin {
+    /// Reads `cell` under this pin, without pinning again — the
+    /// [`DcasWord::load`] of a caller already inside the scope.
+    #[inline]
+    pub fn read<W: DcasWord>(&self, cell: &W) -> u64 {
+        // Safety: `pinned` builds the `Pin` from a guard that outlives
+        // it and hands it out only by reference, so the guard is alive
+        // for as long as `&self` is.
+        let guard = unsafe { &*self.guard.cast::<Guard<'_>>() };
+        cell.load_pinned(guard)
     }
 }
 
@@ -284,7 +303,7 @@ impl fmt::Debug for Pin {
 /// references; the higher-rank closure signature keeps them from
 /// escaping the scope.
 pub fn pinned<R>(f: impl FnOnce(&Pin) -> R) -> R {
-    lfrc_dcas::with_guard(|_guard| {
+    lfrc_dcas::with_guard(|guard| {
         // The settle guard bounds every pending increment (`crate::inc`)
         // to its pinning epoch: when the outermost scope exits — normal
         // return or panic unwind, in either case still inside the guard —
@@ -292,7 +311,7 @@ pub fn pinned<R>(f: impl FnOnce(&Pin) -> R) -> R {
         // settled before the pin is released.
         let _settle = crate::inc::SettleGuard::enter();
         let pin = Pin {
-            _not_send: PhantomData,
+            guard: (guard as *const Guard<'_>).cast(),
         };
         f(&pin)
     })
@@ -319,7 +338,8 @@ pub fn pinned<R>(f: impl FnOnce(&Pin) -> R) -> R {
 ///   (rather than resurrecting) if the object died.
 pub struct Borrowed<'p, T: Links<W>, W: DcasWord> {
     ptr: NonNull<LfrcBox<T, W>>,
-    _pin: PhantomData<&'p Pin>,
+    /// The scope's pin: the borrow's own count reads go through it.
+    pin: &'p Pin,
 }
 
 impl<T: Links<W>, W: DcasWord> Clone for Borrowed<'_, T, W> {
@@ -336,13 +356,10 @@ impl<'p, T: Links<W>, W: DcasWord> Borrowed<'p, T, W> {
     /// # Safety
     ///
     /// `p` must be null or point at an `LfrcBox` whose memory is kept
-    /// mapped by the pin `_pin` witnesses (i.e. it was read from a live
+    /// mapped by the pin `pin` witnesses (i.e. it was read from a live
     /// field, or from a counted/borrowed reference, inside the scope).
-    pub(crate) unsafe fn from_raw(p: *mut LfrcBox<T, W>, _pin: &'p Pin) -> Option<Self> {
-        NonNull::new(p).map(|ptr| Borrowed {
-            ptr,
-            _pin: PhantomData,
-        })
+    pub(crate) unsafe fn from_raw(p: *mut LfrcBox<T, W>, pin: &'p Pin) -> Option<Self> {
+        NonNull::new(p).map(|ptr| Borrowed { ptr, pin })
     }
 
     /// The raw pointer (identity only; no count moves).
@@ -367,7 +384,7 @@ impl<'p, T: Links<W>, W: DcasWord> Borrowed<'p, T, W> {
     /// which is what makes the read-then-validate idiom in the module
     /// docs work.
     pub fn ref_count(this: &Self) -> u64 {
-        this.object().ref_count()
+        this.pin.read(this.object().rc_cell())
     }
 
     /// Upgrades the borrow to a counted [`Local`], or returns `None` if
@@ -381,7 +398,7 @@ impl<'p, T: Links<W>, W: DcasWord> Borrowed<'p, T, W> {
     pub fn promote(this: &Self) -> Option<Local<T, W>> {
         let obj = this.object();
         loop {
-            let r = obj.rc_cell().load();
+            let r = this.pin.read(obj.rc_cell());
             if r == 0 {
                 lfrc_obs::counters::incr(lfrc_obs::Counter::PromoteFail);
                 lfrc_obs::recorder::record(

@@ -322,7 +322,8 @@ unsafe fn run_destroy_deferred<T: Links<W>, W: DcasWord>(p: *mut ()) {
 /// another pending entry — still no shared-count traffic.
 pub struct IncLocal<'p, T: Links<W>, W: DcasWord> {
     ptr: NonNull<LfrcBox<T, W>>,
-    _pin: PhantomData<&'p Pin>,
+    /// The scope's pin: the reference's own count reads go through it.
+    pin: &'p Pin,
 }
 
 impl<'p, T: Links<W>, W: DcasWord> IncLocal<'p, T, W> {
@@ -331,17 +332,14 @@ impl<'p, T: Links<W>, W: DcasWord> IncLocal<'p, T, W> {
     ///
     /// # Safety
     ///
-    /// `p` must be null or have been read, inside the scope `_pin`
+    /// `p` must be null or have been read, inside the scope `pin`
     /// witnesses, from a field of a `Strategy::DeferredInc` structure
     /// (every displacing release of which is grace-deferred) — that is
     /// what makes the cover-unit argument apply.
-    pub(crate) unsafe fn from_raw(p: *mut LfrcBox<T, W>, _pin: &'p Pin) -> Option<Self> {
+    pub(crate) unsafe fn from_raw(p: *mut LfrcBox<T, W>, pin: &'p Pin) -> Option<Self> {
         NonNull::new(p).map(|ptr| {
             append_entry(ptr.as_ptr().cast::<()>());
-            IncLocal {
-                ptr,
-                _pin: PhantomData,
-            }
+            IncLocal { ptr, pin }
         })
     }
 
@@ -364,7 +362,7 @@ impl<'p, T: Links<W>, W: DcasWord> IncLocal<'p, T, W> {
     /// diagnostics only). Pending increments — including this one — are
     /// not reflected.
     pub fn ref_count(this: &Self) -> u64 {
-        this.object().ref_count()
+        this.pin.read(this.object().rc_cell())
     }
 
     /// Settles this pending increment into an owning [`Local`] that can
@@ -408,7 +406,7 @@ impl<T: Links<W>, W: DcasWord> Clone for IncLocal<'_, T, W> {
         append_entry(self.ptr.as_ptr().cast::<()>());
         IncLocal {
             ptr: self.ptr,
-            _pin: PhantomData,
+            pin: self.pin,
         }
     }
 }

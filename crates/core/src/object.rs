@@ -35,14 +35,24 @@ pub trait Links<W: DcasWord>: Send + Sync + Sized + 'static {
     fn for_each_link(&self, f: &mut dyn FnMut(&PtrField<Self, W>));
 }
 
-/// An LFRC-managed heap object: reference-count header plus user value.
+/// An LFRC-managed heap object: user value plus reference-count header.
 ///
 /// Created by [`Heap::alloc`]; freed automatically when its reference
 /// count reaches zero. User code normally never names this type — it works
 /// with [`Local`] handles — but the raw [`ops`](crate::ops) layer (the
 /// paper's Figure 2) traffics in `*mut LfrcBox`.
+///
+/// The value comes first. A traversal reads the value on every hop (a
+/// node's key and links) but the header almost never (a validating `rc`
+/// read at most once per operation), and a pooled object starts on a
+/// cache-line boundary. With the value at offset 0, a node type that puts
+/// its hot fields first keeps every hop on the object's first line; with
+/// the header first, the same fields would start 48 bytes in and spill
+/// onto the second (DESIGN.md §5.17).
 #[repr(C)]
 pub struct LfrcBox<T: Links<W>, W: DcasWord> {
+    /// The user value.
+    pub(crate) value: T,
     /// Paper step 1: the reference count. A DCAS-capable cell so that
     /// `LFRCLoad` can update it atomically with a pointer check.
     pub(crate) rc: W,
@@ -55,8 +65,6 @@ pub struct LfrcBox<T: Links<W>, W: DcasWord> {
     pub(crate) pooled: bool,
     /// Accounting for the heap this object came from.
     pub(crate) census: Arc<Census>,
-    /// The user value.
-    pub(crate) value: T,
 }
 
 impl<T: Links<W>, W: DcasWord> LfrcBox<T, W> {
@@ -205,7 +213,7 @@ impl<T: Links<W>, W: DcasWord> PtrField<T, W> {
         // counted/borrowed, or it is a root); `pin` witnesses the epoch
         // guard that keeps the referent mapped.
         unsafe {
-            let p = crate::ops::load_deferred(self);
+            let p = crate::ops::load_deferred(self, pin);
             Borrowed::from_raw(p, pin)
         }
     }
@@ -228,7 +236,7 @@ impl<T: Links<W>, W: DcasWord> PtrField<T, W> {
         // caller's (structure author's) obligation, restated on the
         // method docs.
         unsafe {
-            let p = crate::ops::load_inc(self);
+            let p = crate::ops::load_inc(self, pin);
             crate::inc::IncLocal::from_raw(p, pin)
         }
     }
@@ -489,12 +497,12 @@ impl<T: Links<W>, W: DcasWord> Heap<T, W> {
         // enough for the layout we asked for.
         unsafe {
             raw.write(LfrcBox {
+                value,
                 rc: W::new(1),
                 canary: AtomicU64::new(CANARY_ALIVE),
                 backlog_next: AtomicUsize::new(0),
                 pooled: true,
                 census: Arc::clone(&self.census),
-                value,
             });
         }
         Ok(raw)
@@ -509,12 +517,12 @@ impl<T: Links<W>, W: DcasWord> Heap<T, W> {
 
     fn alloc_global(&self, value: T) -> *mut LfrcBox<T, W> {
         Box::into_raw(Box::new(LfrcBox {
+            value,
             rc: W::new(1),
             canary: AtomicU64::new(CANARY_ALIVE),
             backlog_next: AtomicUsize::new(0),
             pooled: false,
             census: Arc::clone(&self.census),
-            value,
         }))
     }
 }

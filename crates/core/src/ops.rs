@@ -34,6 +34,7 @@ use std::ptr;
 
 use lfrc_dcas::DcasWord;
 
+use crate::defer::Pin;
 use crate::destroy::destroy;
 use crate::object::{ptr_to_word, word_to_ptr, LfrcBox, Links, PtrField};
 
@@ -133,21 +134,24 @@ pub unsafe fn load<T: Links<W>, W: DcasWord>(a: &PtrField<T, W>, dest: &mut *mut
 ///
 /// * The object containing `a` must be alive for the duration (as for
 ///   [`load`]).
-/// * The caller must hold the emulator's epoch pin
-///   ([`crate::defer::pinned`] / `lfrc_dcas::with_guard`) for the entire
-///   lifetime of the returned pointer: the pin is all that keeps the
-///   referent's memory mapped, since no count is taken. The referent may
-///   be *logically* freed at any time — dereference only immutable
-///   payload, and validate via its reference count before trusting link
-///   reads (see `crate::defer`).
-pub unsafe fn load_deferred<T: Links<W>, W: DcasWord>(a: &PtrField<T, W>) -> *mut LfrcBox<T, W> {
+/// * The returned pointer must not outlive `pin`'s scope: the pin is all
+///   that keeps the referent's memory mapped, since no count is taken.
+///   The referent may be *logically* freed at any time — dereference
+///   only immutable payload, and validate via its reference count before
+///   trusting link reads (see `crate::defer`).
+///
+/// The cell read goes through `pin` and does not pin again.
+pub unsafe fn load_deferred<T: Links<W>, W: DcasWord>(
+    a: &PtrField<T, W>,
+    pin: &Pin,
+) -> *mut LfrcBox<T, W> {
     // An uncounted read racing destroys by design — let the scheduler
     // interleave here.
     lfrc_dcas::instrument::yield_point(lfrc_dcas::InstrSite::BorrowLoad);
     // Counter only — no flight-recorder event: this is the hot path the
     // E11 overhead budget is measured on.
     lfrc_obs::counters::incr(lfrc_obs::Counter::LoadDeferred);
-    word_to_ptr(a.raw().load())
+    word_to_ptr(pin.read(a.raw()))
 }
 
 /// The deferred-**increment** strategy's counted read (DESIGN.md §5.13):
@@ -164,20 +168,23 @@ pub unsafe fn load_deferred<T: Links<W>, W: DcasWord>(a: &PtrField<T, W>) -> *mu
 ///
 /// * The object containing `a` must be alive for the duration (as for
 ///   [`load`]).
-/// * The caller must hold the emulator's epoch pin for the lifetime of
-///   the returned pointer **and** `a` must belong to a structure whose
-///   every displacing release is grace-deferred
+/// * The returned pointer must not outlive `pin`'s scope **and** `a`
+///   must belong to a structure whose every displacing release is
+///   grace-deferred
 ///   ([`Strategy::DeferredInc`](crate::Strategy::DeferredInc)): that is
 ///   the cover-unit argument (`crate::inc`) under which the referent is
 ///   alive — not merely mapped — until the pin ends.
-pub unsafe fn load_inc<T: Links<W>, W: DcasWord>(a: &PtrField<T, W>) -> *mut LfrcBox<T, W> {
+pub unsafe fn load_inc<T: Links<W>, W: DcasWord>(
+    a: &PtrField<T, W>,
+    pin: &Pin,
+) -> *mut LfrcBox<T, W> {
     // A plain read whose count is pending — the window the differential
     // harness explores hardest.
     lfrc_dcas::instrument::yield_point(lfrc_dcas::InstrSite::IncLoad);
     // Counter only — no flight-recorder event: hot path, same budget as
     // `load_deferred`.
     lfrc_obs::counters::incr(lfrc_obs::Counter::LoadDeferred);
-    word_to_ptr(a.raw().load())
+    word_to_ptr(pin.read(a.raw()))
 }
 
 /// [`cas`] for the deferred-increment strategy (DESIGN.md §5.13):
@@ -447,6 +454,9 @@ pub unsafe fn dcas_ptr_word<T: Links<W>, W: DcasWord>(
     word_new: u64,
 ) -> bool {
     if !new.is_null() {
+        // Between the caller's read of `new` and its increment: only the
+        // caller's own count keeps `new` alive here.
+        lfrc_dcas::instrument::yield_point(lfrc_dcas::InstrSite::SwingIncrement);
         // Safety: caller holds `new` counted.
         unsafe { add_to_rc(new, 1) };
     }
@@ -489,6 +499,9 @@ pub unsafe fn dcas_ptr_word_retire<T: Links<W>, W: DcasWord>(
     word_new: u64,
 ) -> bool {
     if !new.is_null() {
+        // Between the caller's read of `new` and its increment: only the
+        // caller's own count keeps `new` alive here.
+        lfrc_dcas::instrument::yield_point(lfrc_dcas::InstrSite::SwingIncrement);
         // Safety: caller holds `new` counted.
         unsafe { add_to_rc(new, 1) };
     }

@@ -81,6 +81,15 @@ pub fn with_guard<R>(f: impl FnOnce(&Guard<'_>) -> R) -> R {
     }
 }
 
+/// Whether the calling thread currently holds the emulator's pin (some
+/// [`with_guard`] scope is open on it). `false` inside a TLS destructor
+/// that has outlived the thread's handle.
+pub fn is_pinned() -> bool {
+    HANDLE
+        .try_with(|h| h.get().is_some_and(LocalHandle::is_pinned))
+        .unwrap_or(false)
+}
+
 /// Defers physical deallocation of a `Box`-allocated object until no
 /// in-flight emulated DCAS/MCAS can still read its cells.
 ///
@@ -150,5 +159,11 @@ mod tests {
                 // Nested pinning must not deadlock or panic.
             });
         });
+    }
+
+    #[test]
+    fn is_pinned_tracks_the_guard_scope() {
+        with_guard(|_| assert!(is_pinned()));
+        assert!(!is_pinned());
     }
 }

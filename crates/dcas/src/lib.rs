@@ -71,8 +71,11 @@ pub mod mcas;
 pub use lfrc_obs::instrument;
 
 pub use desc::{desc_mode, DescMode};
-pub use emu::{emulation_stats, quiesce, retire_box, retire_fn, set_advance_gate, with_guard};
+pub use emu::{
+    emulation_stats, is_pinned, quiesce, retire_box, retire_fn, set_advance_gate, with_guard,
+};
 pub use instrument::InstrSite;
+pub use lfrc_reclaim::epoch::Guard;
 pub use llsc::{Linked, LlScCell};
 pub use locked::LockWord;
 pub use mcas::McasWord;
@@ -113,6 +116,19 @@ pub trait DcasWord: Send + Sync + Sized + 'static {
 
     /// Atomically reads the cell.
     fn load(&self) -> u64;
+
+    /// [`load`](Self::load) for a caller that already holds the
+    /// emulator's pin: `guard` (from [`with_guard`]) witnesses it, so the
+    /// read does not pin again. Same result and linearization point as
+    /// `load`; the pin is what keeps a freed object's cell mapped while
+    /// it is read.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, if the calling thread is not pinned in the
+    /// emulator's collector ([`is_pinned`]) — for instance because
+    /// `guard` belongs to some other collector.
+    fn load_pinned(&self, guard: &Guard<'_>) -> u64;
 
     /// Atomically overwrites the cell.
     fn store(&self, value: u64);
@@ -170,6 +186,7 @@ mod trait_tests {
         let a = W::new(10);
         let b = W::new(20);
         assert_eq!(a.load(), 10);
+        assert_eq!(with_guard(|g| a.load_pinned(g)), 10);
         a.store(11);
         assert_eq!(a.load(), 11);
         assert!(a.compare_and_swap(11, 12));
@@ -196,5 +213,27 @@ mod trait_tests {
     #[test]
     fn lock_word_semantics() {
         exercise::<LockWord>();
+    }
+
+    /// A guard of another collector does not pin this thread in the
+    /// emulator's, so it is no witness for a pinned read.
+    fn load_with_foreign_guard<W: DcasWord>() {
+        let foreign = lfrc_reclaim::Collector::new();
+        let handle = foreign.register();
+        let guard = handle.pin();
+        assert!(!is_pinned());
+        W::new(1).load_pinned(&guard);
+    }
+
+    #[test]
+    #[should_panic(expected = "not pinned")]
+    fn mcas_pinned_load_without_the_emulator_pin_panics() {
+        load_with_foreign_guard::<McasWord>();
+    }
+
+    #[test]
+    #[should_panic(expected = "not pinned")]
+    fn lock_pinned_load_without_the_emulator_pin_panics() {
+        load_with_foreign_guard::<LockWord>();
     }
 }

@@ -22,6 +22,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use lfrc_reclaim::CachePadded;
 
 use crate::emu::with_guard;
+use crate::Guard;
 use crate::{DcasWord, McasOp, MAX_PAYLOAD};
 
 /// Number of lock stripes. A power of two; collisions only cost extra
@@ -139,6 +140,15 @@ impl DcasWord for LockWord {
             let _lock = MultiLock::acquire(&[&self.word]);
             self.word.load(Ordering::Relaxed)
         })
+    }
+
+    fn load_pinned(&self, _guard: &Guard<'_>) -> u64 {
+        debug_assert!(
+            crate::is_pinned(),
+            "LockWord::load_pinned: thread not pinned"
+        );
+        let _lock = MultiLock::acquire(&[&self.word]);
+        self.word.load(Ordering::Relaxed)
     }
 
     fn store(&self, value: u64) {

@@ -37,6 +37,7 @@ use std::sync::{Mutex, OnceLock};
 use crate::desc::{self, MAX_SLOTS, SEQ_MASK};
 use crate::emu::with_guard;
 use crate::instrument::{yield_point, InstrSite};
+use crate::Guard;
 use crate::{DcasWord, McasOp, MAX_PAYLOAD};
 use lfrc_obs::counters::incr;
 use lfrc_obs::Counter;
@@ -555,6 +556,11 @@ fn word_read(word: &AtomicU64) -> u64 {
 ///
 /// This is the strategy used by all LFRC structures unless a benchmark
 /// explicitly selects [`crate::LockWord`] for ablation.
+///
+/// `repr(C)` keeps the value word at offset 0: a node that lays its hot
+/// fields out by hand can then place the word every read touches, while
+/// the `order` id (read only by writers) may fall on the next line.
+#[repr(C)]
 pub struct McasWord {
     word: AtomicU64,
     /// Creation-order id, used as the global MCAS installation order.
@@ -588,6 +594,14 @@ impl DcasWord for McasWord {
 
     fn load(&self) -> u64 {
         with_guard(|_| decode(word_read(&self.word)))
+    }
+
+    fn load_pinned(&self, _guard: &Guard<'_>) -> u64 {
+        debug_assert!(
+            crate::is_pinned(),
+            "McasWord::load_pinned: thread not pinned"
+        );
+        decode(word_read(&self.word))
     }
 
     fn store(&self, value: u64) {
@@ -777,6 +791,11 @@ pub mod test_support {
 mod tests {
     use super::*;
     use std::sync::Barrier;
+
+    #[test]
+    fn value_word_leads_the_cell() {
+        assert_eq!(std::mem::offset_of!(McasWord, word), 0);
+    }
 
     #[test]
     fn encode_decode_roundtrip() {

@@ -10,7 +10,8 @@
 //! that turns each call into a deterministic context-switch opportunity.
 //!
 //! When no hook is installed (every production and ordinary-test thread),
-//! a yield point is one thread-local read and nothing else.
+//! a yield point is one read of a const-initialised thread-local flag
+//! and nothing else: no lazy-init check, no `RefCell` borrow.
 //!
 //! This module lives in `lfrc-obs` — the bottom of the crate graph — so
 //! that *every* instrumented crate (`lfrc-dcas`, `lfrc-core`,
@@ -28,7 +29,7 @@
 //! `pool-disabled`/`obs-disabled` CI jobs exercise), and an un-hooked
 //! yield point is already free of atomics.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 
 /// An instrumented program point — the sites where schedule exploration
 /// may preempt a thread.
@@ -127,6 +128,13 @@ pub enum InstrSite {
     /// it — the window where the owner may complete and reuse the slot,
     /// forcing the helper to abandon.
     DescHelperValidate,
+    /// Pointer×word DCAS (`dcas_ptr_word` and its grace-retiring
+    /// variant): the new pointer is loaded but its count not yet
+    /// incremented. A caller that skipped counting the new pointer (say,
+    /// a help-unlink that installs a borrowed successor without
+    /// promoting it) is caught here: the scheduler can free the
+    /// successor before the increment lands on it.
+    SwingIncrement,
 }
 
 impl InstrSite {
@@ -159,6 +167,7 @@ impl InstrSite {
             InstrSite::DescClaim => 23,
             InstrSite::DescSeqBump => 24,
             InstrSite::DescHelperValidate => 25,
+            InstrSite::SwingIncrement => 26,
         }
     }
 
@@ -189,16 +198,17 @@ impl InstrSite {
             InstrSite::DescClaim => "desc-claim",
             InstrSite::DescSeqBump => "desc-seq-bump",
             InstrSite::DescHelperValidate => "desc-helper-validate",
+            InstrSite::SwingIncrement => "swing-increment",
         }
     }
 
     /// The largest [`tag`](Self::tag). Retired tags leave gaps, so
     /// tables indexed by `tag - 1` are sized by this, not by `ALL.len()`.
-    pub const MAX_TAG: u64 = 25;
+    pub const MAX_TAG: u64 = 26;
 
     /// Every instrumented site, in tag order. Fault-injection sweeps
     /// iterate this to prove each site is actually reachable.
-    pub const ALL: [InstrSite; 24] = [
+    pub const ALL: [InstrSite; 25] = [
         InstrSite::LoadDcasWindow,
         InstrSite::DestroyDecrement,
         InstrSite::RdcssInstalled,
@@ -223,6 +233,7 @@ impl InstrSite {
         InstrSite::DescClaim,
         InstrSite::DescSeqBump,
         InstrSite::DescHelperValidate,
+        InstrSite::SwingIncrement,
     ];
 
     /// Whether this site fires from inside the slab pool.
@@ -247,6 +258,10 @@ pub type InstrHook = Box<dyn FnMut(InstrSite)>;
 
 thread_local! {
     static HOOK: RefCell<Option<InstrHook>> = const { RefCell::new(None) };
+    /// Mirrors `HOOK.is_some()`. A const-initialised `Cell<bool>` has no
+    /// destructor, so reading it needs no lazy-init or teardown check —
+    /// the whole cost of an un-hooked yield point.
+    static HOOKED: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Called at every instrumented site. Invokes the calling thread's hook
@@ -258,6 +273,9 @@ thread_local! {
 /// destroyed — `try_with` treats that as "no hook installed".
 #[inline]
 pub fn yield_point(site: InstrSite) {
+    if !HOOKED.get() {
+        return;
+    }
     let _ = HOOK.try_with(|h| {
         // The hook may block for a long time (that is its purpose: the
         // scheduler parks the thread here). Re-entry is impossible — the
@@ -270,12 +288,14 @@ pub fn yield_point(site: InstrSite) {
 
 /// Installs (or clears) the yield hook for the calling thread.
 pub fn set_thread_hook(hook: Option<InstrHook>) {
+    let hooked = hook.is_some();
     HOOK.with(|h| *h.borrow_mut() = hook);
+    HOOKED.set(hooked);
 }
 
 /// Whether the calling thread currently has a yield hook installed.
 pub fn hook_installed() -> bool {
-    HOOK.with(|h| h.borrow().is_some())
+    HOOKED.get()
 }
 
 // ---------------------------------------------------------------------------
@@ -399,28 +419,51 @@ mod tests {
         assert!(!hook_installed());
     }
 
-    #[test]
-    fn hook_sees_sites_and_is_thread_local() {
+    /// Installs a hook on the calling thread that counts its firings.
+    fn counting_hook() -> Arc<AtomicUsize> {
         let hits = Arc::new(AtomicUsize::new(0));
         let h = Arc::clone(&hits);
         set_thread_hook(Some(Box::new(move |_| {
             h.fetch_add(1, Ordering::SeqCst);
         })));
+        hits
+    }
+
+    #[test]
+    fn installed_hook_fires_at_every_yield_point() {
+        let hits = counting_hook();
+        assert!(hook_installed());
         yield_point(InstrSite::DestroyDecrement);
         yield_point(InstrSite::RdcssInstalled);
         assert_eq!(hits.load(Ordering::SeqCst), 2);
+        set_thread_hook(None);
+    }
 
-        let h2 = Arc::clone(&hits);
-        std::thread::spawn(move || {
+    #[test]
+    fn cleared_hook_stops_firing() {
+        let hits = counting_hook();
+        yield_point(InstrSite::BorrowLoad);
+        set_thread_hook(None);
+        assert!(!hook_installed());
+        yield_point(InstrSite::BorrowLoad);
+        yield_point(InstrSite::SwingIncrement);
+        assert_eq!(hits.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn hook_never_fires_on_another_thread() {
+        let hits = counting_hook();
+        std::thread::spawn(|| {
+            assert!(!hook_installed(), "hooks are per-thread");
             yield_point(InstrSite::DestroyDecrement);
-            assert_eq!(h2.load(Ordering::SeqCst), 2, "hooks are per-thread");
+            yield_point(InstrSite::SwingIncrement);
         })
         .join()
         .unwrap();
-
-        set_thread_hook(None);
+        assert_eq!(hits.load(Ordering::SeqCst), 0);
         yield_point(InstrSite::DestroyDecrement);
-        assert_eq!(hits.load(Ordering::SeqCst), 2);
+        assert_eq!(hits.load(Ordering::SeqCst), 1);
+        set_thread_hook(None);
     }
 
     #[test]

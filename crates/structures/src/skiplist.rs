@@ -72,16 +72,24 @@ fn encode_key(k: u64) -> u64 {
 
 type Link<W> = PtrField<SkipNode<W>, W>;
 
-/// A skip-list node: encoded key, one mark word, and a tower of links.
+/// A skip-list node: encoded key, a tower of links, and one mark word.
+///
+/// `repr(C)` in the order a hop reads: the key, the pointer to the
+/// upper tower, levels 0–1, then the mark. With the value first in
+/// [`LfrcBox`] and a pool slot on a cache-line boundary, all of these
+/// but the mark's `order` id sit in the slot's first 64 bytes, so a
+/// level-0/1 hop reads one line and a higher hop that line plus the
+/// tower slice (DESIGN.md §5.17).
+#[repr(C)]
 pub struct SkipNode<W: DcasWord> {
     key: u64,
-    /// 0 = live, 1 = logically deleted (governs the whole tower).
-    marked: W,
+    /// Levels `2..height`; empty (no allocation) for towers of height ≤ 2.
+    high: Box<[Link<W>]>,
     /// Levels 0 and 1: `low[0]` is the full list; a height-1 node leaves
     /// `low[1]` null forever.
     low: [Link<W>; INLINE_LEVELS],
-    /// Levels `2..height`; empty (no allocation) for towers of height ≤ 2.
-    high: Box<[Link<W>]>,
+    /// 0 = live, 1 = logically deleted (governs the whole tower).
+    marked: W,
 }
 
 impl<W: DcasWord> Links<W> for SkipNode<W> {
@@ -106,9 +114,9 @@ impl<W: DcasWord> SkipNode<W> {
     fn new(key: u64, height: usize) -> Self {
         SkipNode {
             key,
-            marked: W::new(0),
-            low: [PtrField::null(), PtrField::null()],
             high: (INLINE_LEVELS..height).map(|_| PtrField::null()).collect(),
+            low: [PtrField::null(), PtrField::null()],
+            marked: W::new(0),
         }
     }
 
@@ -175,6 +183,9 @@ trait Traversal<W: DcasWord>: Copy {
     /// Reads `field`; `None` for null.
     fn load(self, field: &Link<W>) -> Option<Self::Node>;
 
+    /// Reads a word cell of a node this traversal holds (the mark).
+    fn read(self, cell: &W) -> u64;
+
     /// Identity only (DCAS expectations, pointer comparison).
     fn raw(node: &Self::Node) -> NodePtr<W>;
 
@@ -195,6 +206,10 @@ impl<W: DcasWord> Traversal<W> for Counted {
         field.load()
     }
 
+    fn read(self, cell: &W) -> u64 {
+        cell.load()
+    }
+
     fn raw(node: &NodeRef<W>) -> NodePtr<W> {
         Local::as_raw(node)
     }
@@ -205,13 +220,18 @@ impl<W: DcasWord> Traversal<W> for Counted {
 }
 
 /// Both deferred strategies: every hop is a plain load under one epoch
-/// pin (DESIGN.md §5.9); a count is taken only by
-/// [`Borrowed::promote`], which refuses a node whose count hit zero.
+/// pin (DESIGN.md §5.9), and every read goes through that pin instead of
+/// pinning again; a count is taken only by [`Borrowed::promote`], which
+/// refuses a node whose count hit zero.
 impl<'p, W: DcasWord> Traversal<W> for &'p Pin {
     type Node = Borrowed<'p, SkipNode<W>, W>;
 
     fn load(self, field: &Link<W>) -> Option<Self::Node> {
         field.load_deferred(self)
+    }
+
+    fn read(self, cell: &W) -> u64 {
+        Pin::read(self, cell)
     }
 
     fn raw(node: &Self::Node) -> NodePtr<W> {
@@ -348,7 +368,7 @@ impl<W: DcasWord> LfrcSkipList<W> {
                 loop {
                     // Help unlink marked nodes at this level. The swing
                     // installs `succ`, so only `succ` pays for a count.
-                    while curr.marked.load() == 1 {
+                    while t.read(&curr.marked) == 1 {
                         let Some(succ) = t.load(curr.next(lvl)) else {
                             continue 'retry;
                         };
@@ -433,7 +453,7 @@ impl<W: DcasWord> LfrcSkipList<W> {
     ) -> bool {
         let me = Local::as_raw(node);
         loop {
-            if node.marked.load() == 1 {
+            if t.read(&node.marked) == 1 {
                 return false;
             }
             if self.swing(w.pred(lvl), lvl, T::raw(w.succ(lvl)), me) {
@@ -571,7 +591,7 @@ impl<W: DcasWord> LfrcSkipList<W> {
                     if Borrowed::ref_count(&curr) == 0 {
                         continue 'restart; // freed under us; re-traverse
                     }
-                    return curr.marked.load() == 0;
+                    return pin.read(&curr.marked) == 0;
                 }
             }
             return false;
@@ -607,7 +627,7 @@ impl<W: DcasWord> LfrcSkipList<W> {
                     curr = next;
                 }
                 if curr.key == ekey {
-                    return curr.marked.load() == 0;
+                    return pin.read(&curr.marked) == 0;
                 }
             }
             false
@@ -698,7 +718,7 @@ impl<W: DcasWord> LfrcSkipList<W> {
                 if next.key == TAIL_KEY {
                     return out;
                 }
-                if next.key >= from && next.marked.load() == 0 {
+                if next.key >= from && t.read(&next.marked) == 0 {
                     out.push(next.key - 1); // decode
                     if out.len() == limit {
                         return out;
@@ -1145,6 +1165,36 @@ mod tests {
         let mut links = 0;
         SkipNode::<McasWord>::new(7, 5).for_each_link(&mut |_| links += 1);
         assert_eq!(links, 5);
+    }
+
+    #[test]
+    fn hop_fields_sit_in_the_first_cache_line() {
+        use std::mem::{offset_of, size_of};
+        type Node = SkipNode<McasWord>;
+        // A pool slot starts on a line boundary and `LfrcBox` puts the
+        // value first, so node offsets are offsets into the slot.
+        let heap: Heap<Node, McasWord> = Heap::new();
+        let n = heap.alloc(SkipNode::new(1, 1));
+        let value_at = &*n as *const Node as usize - Local::as_raw(&n) as usize;
+        assert_eq!(value_at, 0, "the value must lead the box");
+        // Each hop field must end within the slot's first 64 bytes.
+        for (field, at, len) in [
+            ("key", offset_of!(Node, key), size_of::<u64>()),
+            (
+                "high",
+                offset_of!(Node, high),
+                size_of::<Box<[Link<McasWord>]>>(),
+            ),
+            (
+                "low",
+                offset_of!(Node, low),
+                size_of::<[Link<McasWord>; INLINE_LEVELS]>(),
+            ),
+            // `McasWord` is `repr(C)` with its value word first.
+            ("marked", offset_of!(Node, marked), size_of::<u64>()),
+        ] {
+            assert!(at + len <= 64, "{field} ends at byte {}", at + len);
+        }
     }
 
     #[test]

@@ -28,6 +28,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use lfrc_repro::core::defer::{self, Borrowed};
+use lfrc_repro::core::Strategy;
 use lfrc_repro::core::{
     flush_thread, settle_thread, DcasWord, Heap, IncLocal, Links, LockWord, McasWord, PtrField,
     SharedField,
@@ -35,6 +36,7 @@ use lfrc_repro::core::{
 use lfrc_repro::deque::{ConcurrentDeque, LfrcSnarkRepaired};
 #[cfg(feature = "inject")]
 use lfrc_repro::pool;
+use lfrc_repro::structures::LfrcSkipList;
 use lfrc_sched::shrink::{
     artifact_dir, run_verdict, shrink_decisions, shrink_failure, Counterexample,
 };
@@ -466,6 +468,54 @@ fn crash_sweep_deferred_inc_sites() {
 }
 
 // ---------------------------------------------------------------------------
+// Crash sweep, group 8: the pointer×word swing's increment
+// ---------------------------------------------------------------------------
+
+/// The skip-list workload: three writers each insert two keys of one
+/// small range and remove them again under `Strategy::DeferredDec`.
+/// Every insert swings its node in through `dcas_ptr_word`, and finds
+/// help-unlink each other's marked nodes with the same swing, so
+/// `SwingIncrement` fires on both paths. A writer that dies there holds
+/// counted its unpublished node (whose tower counts its successors,
+/// possibly the tail sentinel) and the successor it promoted; removed
+/// successors keep their own successors counted in turn. In this round
+/// that is at most the six inserted nodes and both sentinels.
+fn skiplist_round(policy: &Policy, plan: FaultPlan) -> Observed {
+    let s: LfrcSkipList<McasWord> = LfrcSkipList::with_strategy(Strategy::DeferredDec);
+    let census = Arc::clone(s.heap().census());
+    let trace = {
+        let s = &s;
+        let bodies: Vec<Body<'_>> = (0..3u64)
+            .map(|t| {
+                let body: Body<'_> = Box::new(move || {
+                    for k in [t, t + 1] {
+                        s.insert(k);
+                    }
+                    for k in [t + 1, t] {
+                        s.remove(k);
+                    }
+                    defer::flush_thread();
+                });
+                body
+            })
+            .collect();
+        Schedule::new().faults(plan).run(policy, bodies)
+    };
+    drop(s);
+    flush_thread();
+    Observed {
+        trace,
+        rc_on_freed: census.rc_on_freed(),
+        live: census.live(),
+    }
+}
+
+#[test]
+fn crash_sweep_swing_site() {
+    crash_sweep(&[InstrSite::SwingIncrement], 3, 24, 8, skiplist_round);
+}
+
+// ---------------------------------------------------------------------------
 // Crash sweep, group 3: the Snark deque pause sites
 // ---------------------------------------------------------------------------
 
@@ -621,6 +671,8 @@ fn sweep_groups_cover_every_site() {
         InstrSite::DescClaim,
         InstrSite::DescSeqBump,
         InstrSite::DescHelperValidate,
+        // group 8 (swing)
+        InstrSite::SwingIncrement,
     ]
     .into();
     for site in InstrSite::ALL {
